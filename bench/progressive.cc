@@ -1,13 +1,10 @@
 // Progressive-archive bench: what the SZI2 level-segmented layout costs and
-// buys. Three questions, answered per dataset:
+// buys. Two questions, answered per dataset:
 //   1. Time-to-preview — how fast each coarse level materializes versus a
 //      full decode, and what fraction of the archive it reads.
 //   2. Full-decode overhead — the segmented archive (one Huffman stream +
 //      codebook per level) versus the legacy single-stream SZI1 layout,
 //      both in bytes and in decode wall time.
-//   3. Per-level versus unified codebook — per-level books adapt to each
-//      level's narrowing code distribution; the unified ablation shares one
-//      book across every segment under identical framing.
 // Emits BENCH_progressive.json. `--smoke` runs one tiny configuration and
 // writes no ledger (CI gates on crashes, never on timings).
 #include <cmath>
@@ -71,15 +68,13 @@ int main(int argc, char** argv) {
     const auto& fields = bench::dataset(names[di]);
     const auto& f = fields.front();
 
-    // The three archive flavors of the same field.
+    // The two archive layouts of the same field.
     const auto v2 = cuszi_compress(f.view(), f.dims, p);
     const auto v1 = cuszi_compress_v1(f.view(), f.dims, p);
-    const auto uni = cuszi_compress_unified_book(f.view(), f.dims, p);
     const auto segs = cuszi_archive_segments(v2);
 
     const double ratio_v2 = metrics::compression_ratio(f.bytes(), v2.size());
     const double ratio_v1 = metrics::compression_ratio(f.bytes(), v1.size());
-    const double ratio_uni = metrics::compression_ratio(f.bytes(), uni.size());
 
     // Full-decode wall time on each layout (v2 pays per-segment codebook
     // rebuilds; v1 decodes one monolithic stream).
@@ -91,10 +86,8 @@ int main(int argc, char** argv) {
     std::printf("%s %s (%zux%zux%zu, %.1f MB)\n", names[di].c_str(),
                 f.label().c_str(), f.dims.x, f.dims.y, f.dims.z,
                 static_cast<double>(f.bytes()) / 1e6);
-    std::printf("  archive: v2 %zu B (%.2fx)  v1 %zu B (%.2fx)  "
-                "unified-book %zu B (%.2fx)\n",
-                v2.size(), ratio_v2, v1.size(), ratio_v1, uni.size(),
-                ratio_uni);
+    std::printf("  archive: v2 %zu B (%.2fx)  v1 %zu B (%.2fx)\n", v2.size(),
+                ratio_v2, v1.size(), ratio_v1);
     std::printf("  full decode: v2 %.3f ms  v1 %.3f ms  (overhead %+.1f%%)\n",
                 dec_v2 * 1e3, dec_v1 * 1e3,
                 dec_v1 > 0 ? (dec_v2 / dec_v1 - 1.0) * 100.0 : 0.0);
@@ -104,13 +97,11 @@ int main(int argc, char** argv) {
             f.dims.z);
     appendf(json, "      \"input_bytes\": %zu,\n", f.bytes());
     appendf(json,
-            "      \"v2_bytes\": %zu,\n      \"v1_bytes\": %zu,\n"
-            "      \"unified_book_bytes\": %zu,\n",
-            v2.size(), v1.size(), uni.size());
+            "      \"v2_bytes\": %zu,\n      \"v1_bytes\": %zu,\n",
+            v2.size(), v1.size());
     appendf(json,
-            "      \"v2_ratio\": %.4f,\n      \"v1_ratio\": %.4f,\n"
-            "      \"unified_book_ratio\": %.4f,\n",
-            ratio_v2, ratio_v1, ratio_uni);
+            "      \"v2_ratio\": %.4f,\n      \"v1_ratio\": %.4f,\n",
+            ratio_v2, ratio_v1);
     appendf(json,
             "      \"full_decode_v2_seconds\": %.6f,\n"
             "      \"full_decode_v1_seconds\": %.6f,\n",

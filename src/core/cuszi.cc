@@ -15,6 +15,8 @@
 
 #include "core/bytes.hh"
 #include "core/timer.hh"
+#include "device/function_ref.hh"
+#include "device/launch.hh"
 #include "device/stream.hh"
 #include "device/thread_pool.hh"
 #include "huffman/histogram.hh"
@@ -331,18 +333,13 @@ std::vector<SegmentEntry> make_directory(
 /// unfused reference splits the finished code array afterwards — the
 /// streams and histograms are byte-identical, so fused and unfused archives
 /// stay in lockstep. Each level is framed through the one-pass
-/// encode_with_book_serial with its own codebook (`unified` shares one book
-/// across all levels for the ratio ablation; the framing is unchanged).
-/// `topk` is accepted for call-site stability but inert here: the per-level
-/// histograms are exact by construction.
+/// encode_with_book_serial with its own codebook.
 template <typename T>
 std::vector<std::byte> compress_typed(std::span<const T> data,
                                       const dev::Dim3& dims,
                                       const CompressParams& p,
                                       StageTimings* timings, bool fused,
-                                      bool topk, dev::Workspace& ws,
-                                      bool unified = false) {
-  (void)topk;
+                                      dev::Workspace& ws) {
   core::Timer total;
   core::Timer stage;
   StageTimings t;
@@ -371,16 +368,7 @@ std::vector<std::byte> compress_typed(std::span<const T> data,
   }
 
   const int nlevels = static_cast<int>(levels.streams.size());
-  std::vector<huffman::Codebook> books;
-  if (unified) {
-    std::vector<std::uint32_t> sum(nbins, 0);
-    for (const auto& h : levels.histograms)
-      for (std::size_t b = 0; b < nbins; ++b) sum[b] += h[b];
-    const auto book = huffman::Codebook::build(sum);
-    books.assign(static_cast<std::size_t>(nlevels), book);
-  } else {
-    books = huffman::build_level_books(levels.histograms);
-  }
+  const auto books = huffman::build_level_books(levels.histograms);
   t.codebook = stage.lap();
 
   std::vector<std::span<const std::byte>> streams(
@@ -440,13 +428,12 @@ template <typename T>
 std::vector<std::byte> compress_typed(std::span<const T> data,
                                       const dev::Dim3& dims,
                                       const CompressParams& p,
-                                      StageTimings* timings, bool fused,
-                                      bool topk, bool unified = false) {
+                                      StageTimings* timings, bool fused) {
   // Throwaway arena: malloc-equivalent lifetime, no global memory retained.
   // Pooling across calls is opt-in via the Workspace overload.
   dev::Arena local;
   dev::Workspace ws(local);
-  return compress_typed<T>(data, dims, p, timings, fused, topk, ws, unified);
+  return compress_typed<T>(data, dims, p, timings, fused, ws);
 }
 
 /// The fused compress-to-wrapped-archive pipeline (re-threaded for the
@@ -848,609 +835,506 @@ std::vector<SegmentEntry> parse_v2_directory(core::ByteReader& rd,
   return segs;
 }
 
-/// Serial SZI2 decode: anchors and outliers come straight from their
-/// segments, the code array is prefilled with the "perfectly predicted"
-/// code (what anchor positions carried in the v1 single stream), and each
-/// level's Huffman stream decodes and scatters through LevelScatterCursor.
-/// The reconstruction is then exactly the v1 path over an identical code
-/// array, so v2 decode is bit-identical to v1 decode of the same field.
+/// Saturating cursor advance: lengths are attacker-controlled u64s, and
+/// clamping to `size` lets the ByteReader report the truncation.
+std::size_t sat_add(std::size_t base, std::uint64_t extra, std::size_t size) {
+  if (base >= size) return size;
+  const std::size_t room = size - base;
+  return extra >= room ? size : base + static_cast<std::size_t>(extra);
+}
+
+bool is_wrapper_magic(std::uint32_t magic) {
+  return magic == kBitcompWrapMagic || magic == kBitcompWrapMagicV2;
+}
+
+std::int64_t ns_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Cheap closed-form cross-checks between a 'BBC2' table entry and its LZSS
+/// frame header; zero-RLE is self-describing, so its expansion is validated
+/// by the untransform instead.
+void check_wrap_frame(lossless::Method method, std::size_t raw_len,
+                      const lossless::LzssFrame& frame, std::size_t at) {
+  if (method == lossless::Method::Lzss && frame.raw_size != raw_len)
+    throw core::CorruptArchive("bitcomp-wrapper", at,
+                               "segment frame size mismatch");
+  if (method == lossless::Method::Bitshuffle &&
+      frame.raw_size != lossless::bitshuffle_frame_size(raw_len))
+    throw core::CorruptArchive(
+        "bitcomp-wrapper", at,
+        "bitshuffle payload size does not match segment");
+}
+
+/// Makes inner-archive bytes [0, off) final before the parser reads them.
+using EnsureFn = dev::FunctionRef<void(std::size_t)>;
+
+/// The SZI2 prefix every decoder shares: validated header and directory,
+/// anchors and outliers in workspace memory, and the radius-prefilled code
+/// array with every level >= `level` scattered. `rd` sits at segment
+/// `next`, the first one not read.
 template <typename T>
-std::vector<T> decompress_v2_typed(std::span<const std::byte> bytes,
-                                   dev::Workspace& ws,
-                                   DecodeTimings* dt = nullptr) {
-  core::Timer wall;
-  core::ByteReader rd(bytes, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd, kMagicV2);
-  const auto segs = parse_v2_directory<T>(rd, h);
+struct V2Prefix {
+  explicit V2Prefix(std::span<const std::byte> bytes) : rd(bytes, "cusz-i") {}
+
+  core::ByteReader rd;
+  InnerHeader h;
+  std::vector<SegmentEntry> segs;
+  std::span<const T> anchors;
+  quant::OutlierViewT<T> outliers;
+  std::span<quant::Code> codes;
+  int level = 1;  ///< max_level clamped to [1, level_count + 1]
+  std::size_t next = 2;
+};
+
+/// Header → directory → anchors → outliers → levels >= max_level of an
+/// SZI2 inner archive, each piece read once `ensure` has made its bytes
+/// final. The full-decode engine reads levels >= 2 here and pipelines
+/// level 1 itself; the progressive readers stop at their preview level.
+template <typename T>
+V2Prefix<T> read_v2_prefix(std::span<const std::byte> bytes, EnsureFn ensure,
+                           int max_level, dev::Workspace& ws, double& huff_s) {
+  const std::size_t size = bytes.size();
+  V2Prefix<T> p(bytes);
+  auto& rd = p.rd;
+  ensure(kInnerFixedBytes + sizeof(std::uint32_t));
+  p.h = parse_inner_header<T>(rd, kMagicV2);
+  // The directory's size follows from the segment count, so peek it
+  // (clamped to the largest legal value — a hostile count cannot force a
+  // full decode) and ensure the exact directory before the parse: every
+  // entry read stays below the watermark, and a wrong segment count fails
+  // before any entry is read.
+  const int nlevels = predictor::ginterp_level_count(p.h.dims);
+  ensure(sat_add(rd.offset(), sizeof(std::uint32_t), size));
+  std::uint32_t nseg_peek = 0;
+  if (size >= rd.offset() + sizeof(nseg_peek))
+    std::memcpy(&nseg_peek, bytes.data() + rd.offset(), sizeof(nseg_peek));
+  const auto nseg_max = static_cast<std::uint32_t>(nlevels) + 3;
+  ensure(sat_add(rd.offset(),
+                 sizeof(std::uint32_t) +
+                     static_cast<std::uint64_t>(std::min(nseg_peek, nseg_max)) *
+                         sizeof(SegmentEntry),
+                 size));
+  p.segs = parse_v2_directory<T>(rd, p.h);
+  p.level = std::clamp(max_level, 1, nlevels + 1);
+  const auto& segs = p.segs;
 
   const std::size_t acount = static_cast<std::size_t>(segs[0].count);
   const std::size_t abytes = static_cast<std::size_t>(segs[0].size);
+  ensure(sat_add(rd.offset(), abytes, size));
   auto anchors = ws.make<T>(acount);
   if (acount > 0)
     std::memcpy(anchors.data(), rd.read_bytes(abytes).data(), abytes);
+  p.anchors = anchors;
 
-  const auto outliers = parse_outlier_blob<T>(
+  ensure(sat_add(rd.offset(), segs[1].size, size));
+  p.outliers = parse_outlier_blob<T>(
       rd.read_bytes(static_cast<std::size_t>(segs[1].size)), ws);
-  if (outliers.indices.size() != segs[1].count)
+  if (p.outliers.indices.size() != segs[1].count)
     rd.fail("outlier blob count disagrees with directory");
 
-  (void)rd.checked_array_bytes(h.volume, sizeof(quant::Code));
-  auto codes = ws.make<quant::Code>(h.volume);
-  std::fill(codes.begin(), codes.end(), static_cast<quant::Code>(h.radius));
+  (void)rd.checked_array_bytes(p.h.volume, sizeof(quant::Code));
+  p.codes = ws.make<quant::Code>(p.h.volume);
+  std::fill(p.codes.begin(), p.codes.end(),
+            static_cast<quant::Code>(p.h.radius));
 
-  core::Timer hufft;
-  // Stops at the trailing tile index (full decode never reads it).
-  for (std::size_t i = 2; i < segs.size() && segs[i].kind == kSegLevel; ++i) {
-    const auto stream = rd.read_bytes(static_cast<std::size_t>(segs[i].size));
-    const auto syms = huffman::decode(stream, ws);
-    if (syms.size() != segs[i].count)
-      rd.fail("level stream symbol count mismatch");
-    predictor::LevelScatterCursor cur(h.dims, segs[i].level);
-    cur.advance(syms, syms.size(), codes);
+  // Stops at the first finer level, or at the trailing tile index (level 0).
+  for (; p.next < segs.size() && segs[p.next].level >= p.level; ++p.next) {
+    const auto& seg = segs[p.next];
+    ensure(sat_add(rd.offset(), seg.size, size));
+    core::Timer huft;
+    const auto syms =
+        huffman::decode(rd.read_bytes(static_cast<std::size_t>(seg.size)), ws);
+    if (syms.size() != seg.count) rd.fail("level stream symbol count mismatch");
+    predictor::LevelScatterCursor cur(p.h.dims, seg.level);
+    cur.advance(syms, syms.size(), p.codes);
+    huff_s += huft.lap();
   }
-  const double huff_s = hufft.lap();
-
-  std::vector<T> out(h.volume);
-  core::Timer recont;
-  predictor::ginterp_decompress_into(codes, std::span<const T>(anchors),
-                                     outliers, h.dims, h.eb, h.cfg, h.radius,
-                                     std::span<T>(out), ws);
-  const double recon_s = recont.lap();
-  ws.reset();
-  if (dt) {
-    dt->huffman = huff_s;
-    dt->reconstruct = recon_s;
-    dt->overlapped = false;
-    dt->total = wall.lap();
-  }
-  return out;
+  return p;
 }
 
-template <typename T>
-std::vector<T> decompress_typed(std::span<const std::byte> bytes,
-                                dev::Workspace& ws,
-                                DecodeTimings* dt = nullptr) {
-  if (peek_magic(bytes) == kMagicV2)
-    return decompress_v2_typed<T>(bytes, ws, dt);
-  core::Timer wall;
-  core::ByteReader rd(bytes, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd);
-
-  const auto acount64 = rd.read<std::uint64_t>();
-  if (acount64 > rd.remaining()) rd.fail("array count exceeds remaining bytes");
-  const std::size_t acount = static_cast<std::size_t>(acount64);
-  const std::size_t abytes = rd.checked_array_bytes(acount, sizeof(T));
-  auto anchors = ws.make<T>(acount);
-  if (acount > 0)
-    std::memcpy(anchors.data(), rd.read_bytes(abytes).data(), abytes);
-
-  const auto outliers = parse_outlier_blob<T>(rd.read_length_prefixed(), ws);
-  core::Timer hufft;
-  const auto codes = huffman::decode(rd.read_length_prefixed(), ws);
-  const double huff_s = hufft.lap();
-  if (codes.size() != h.volume) rd.fail("code count mismatch");
-
-  // ginterp_decompress_into validates the anchor count and outlier indices
-  // against `dims` before scattering.
-  std::vector<T> out(h.volume);
-  core::Timer recont;
-  predictor::ginterp_decompress_into(codes, std::span<const T>(anchors),
-                                     outliers, h.dims, h.eb, h.cfg, h.radius,
-                                     std::span<T>(out), ws);
-  const double recon_s = recont.lap();
-  ws.reset();
-  if (dt) {
-    dt->huffman = huff_s;
-    dt->reconstruct = recon_s;
-    dt->overlapped = false;
-    dt->total = wall.lap();
-  }
-  return out;
-}
-
-template <typename T>
-std::vector<T> decompress_typed(std::span<const std::byte> bytes,
-                                DecodeTimings* dt = nullptr) {
-  dev::Arena local;
-  dev::Workspace ws(local);
-  return decompress_typed<T>(bytes, ws, dt);
-}
-
-/// The pipelined wrapped-archive decompressor (the tentpole, mirrored):
-/// LZSS blocks decode on a dev::Stream in submission order while the host
-/// thread parses the inner archive behind a watermark of decoded bytes —
-/// waiting on per-group events only when it needs bytes that have not
-/// landed yet — and Huffman-decodes chunk groups as their payload arrives.
-/// Every read of `raw` happens below the watermark, every stream write
-/// above it. All parses go through the bounds-checked ByteReader over the
-/// fixed-size raw buffer, so corrupt archives fail exactly like the
-/// unfused path (the corruption-fuzz harness drives this route).
-template <typename T>
-std::vector<T> decompress_bitcomp_typed(std::span<const std::byte> bytes,
-                                        dev::Workspace& ws,
-                                        DecodeTimings* dt = nullptr) {
-  core::Timer wall;
-  // Per-stage busy time. LZSS groups and reconstruction slabs may run on
-  // dev::Streams (other threads), so those two accumulate atomically in
-  // nanoseconds; Huffman decode always runs on this thread. Pipeline stalls
-  // (ensure()/event waits) are deliberately excluded — stages report work
-  // done, `total` reports the wall clock, and DecodeTimings::overlapped
-  // tells reporters the stages ran concurrently.
-  std::atomic<std::int64_t> lzss_ns{0}, recon_ns{0};
-  double huff_s = 0;
-  const auto now = [] { return std::chrono::steady_clock::now(); };
-  const auto since = [&now](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(now() - t0)
-        .count();
-  };
-
-  // Container-general front end: both wrapper generations parse into the
-  // same per-segment (frame, method, raw range) records, so the pipelined
-  // machinery below is identical for a legacy 'BBCP' single stream and a
-  // 'BBC2' table. All frames parse and all scratch allocates here, on the
-  // host — dev::Workspace is not thread-safe, so stream tasks only ever
-  // touch memory handed out before submission.
-  const auto container = bitcomp_parse_container(bytes);
-  const std::size_t nwseg = container.segments.size();
-  std::vector<lossless::LzssFrame> frames(nwseg);
-  std::vector<std::size_t> seg_off(nwseg);
-  std::size_t raw_size = 0;
-  for (std::size_t i = 0; i < nwseg; ++i) {
-    frames[i] = lossless::lzss_parse_frame(container.payloads[i], ws);
-    seg_off[i] = raw_size;
-    std::size_t slen = frames[i].raw_size;
-    if (!container.legacy) {
-      const auto& s = container.segments[i];
-      slen = static_cast<std::size_t>(s.raw_size);
-      // Cheap closed-form cross-checks between the table and each frame
-      // header; zero-RLE is self-describing, so its expansion is validated
-      // by the untransform instead.
-      if (s.method == lossless::Method::Lzss && frames[i].raw_size != slen)
-        throw core::CorruptArchive("bitcomp-wrapper", 0,
-                                   "segment frame size mismatch");
-      if (s.method == lossless::Method::Bitshuffle &&
-          frames[i].raw_size != lossless::bitshuffle_frame_size(slen))
-        throw core::CorruptArchive("bitcomp-wrapper", 0,
-                                   "bitshuffle payload size does not match "
-                                   "segment");
+/// The full-decode engine's byte feed. A raw SZI1/SZI2 archive is its own
+/// inner byte space: every byte is final and ensure() returns at once. A
+/// 'BBCP'/'BBC2' wrapper decodes into a workspace buffer: LZSS units run on
+/// a dev::Stream in raw order while the engine parses behind a watermark of
+/// decoded bytes, waiting on per-unit events only when it needs bytes that
+/// have not landed yet. Every engine read of the buffer happens below the
+/// watermark, every stream write above it, and all parses go through the
+/// bounds-checked ByteReader over the fixed-size buffer, so corrupt
+/// archives fail exactly like a full unwrap (the corruption-fuzz harness
+/// drives this route).
+class DecodeFeed {
+ public:
+  DecodeFeed(std::span<const std::byte> archive, bool wrapped,
+             dev::Workspace& ws) {
+    if (!wrapped) {
+      bytes_ = archive;
+      decoded_ = archive.size();
+      return;
     }
-    raw_size += slen;
-  }
-  auto raw = ws.make<std::byte>(raw_size);
+    // Container-general front end: both wrapper generations parse into the
+    // same per-segment (frame, method, raw range) records, so the pipelined
+    // machinery below is identical for a legacy 'BBCP' single stream and a
+    // 'BBC2' table. All frames parse and all scratch allocates here, on the
+    // host — dev::Workspace is not thread-safe, so stream tasks only ever
+    // touch memory handed out before submission.
+    const auto container = bitcomp_parse_container(archive);
+    const std::size_t nwseg = container.segments.size();
+    frames_.resize(nwseg);
+    std::vector<std::size_t> seg_off(nwseg), seg_len(nwseg);
+    std::size_t raw_size = 0;
+    for (std::size_t i = 0; i < nwseg; ++i) {
+      frames_[i] = lossless::lzss_parse_frame(container.payloads[i], ws);
+      seg_off[i] = raw_size;
+      seg_len[i] = frames_[i].raw_size;
+      if (!container.legacy) {
+        const auto& s = container.segments[i];
+        seg_len[i] = static_cast<std::size_t>(s.raw_size);
+        check_wrap_frame(s.method, seg_len[i], frames_[i], 0);
+      }
+      raw_size += seg_len[i];
+    }
+    auto raw = ws.make<std::byte>(raw_size);
+    bytes_ = raw;
 
-  // Decode units, in raw order. A method-0 segment decodes straight into
-  // its raw range in ~4-block groups (blocks of one group write disjoint
-  // ranges, so they fan out across the pool at grain 1; with one worker the
-  // launch degrades to a serial walk). A transformed segment is
-  // all-or-nothing: one unit block-decodes its LZSS stream into scratch in
-  // parallel, then untransforms into the raw range. Each unit's `end` is
-  // the raw watermark that is final once it completes.
-  constexpr std::size_t kGroupBlocks = 4;
+    // Decode units, in raw order. A method-0 segment decodes straight into
+    // its raw range in ~4-block groups (blocks of one group write disjoint
+    // ranges, so they fan out across the pool at grain 1; with one worker
+    // the launch degrades to a serial walk). A transformed segment is
+    // all-or-nothing: one unit block-decodes its LZSS stream into scratch in
+    // parallel, then untransforms into the raw range. Each unit's `end` is
+    // the raw watermark that is final once it completes.
+    constexpr std::size_t kGroupBlocks = 4;
+    for (std::size_t i = 0; i < nwseg; ++i) {
+      const lossless::LzssFrame* fp = &frames_[i];
+      const auto m = container.segments[i].method;
+      const std::size_t soff = seg_off[i];
+      const std::size_t slen = seg_len[i];
+      if (m == lossless::Method::Lzss) {
+        std::byte* base = raw.data() + soff;
+        for (std::size_t b = 0; b < fp->nblocks; b += kGroupBlocks) {
+          const std::size_t be = std::min(b + kGroupBlocks, fp->nblocks);
+          const std::size_t gend =
+              soff + std::min(be * fp->block_size,
+                              static_cast<std::size_t>(fp->raw_size));
+          units_.push_back({[this, fp, base, b, be] {
+                              const auto t0 = std::chrono::steady_clock::now();
+                              dev::ThreadPool::instance().parallel_for(
+                                  be - b,
+                                  [&](std::size_t k0) {
+                                    const std::size_t k = b + k0;
+                                    const std::size_t begin =
+                                        k * fp->block_size;
+                                    const std::size_t len = std::min(
+                                        fp->block_size, fp->raw_size - begin);
+                                    lossless::lzss_decompress_block(
+                                        *fp, k, {base + begin, len});
+                                  },
+                                  1);
+                              lzss_ns_ += ns_since(t0);
+                            },
+                            gend});
+        }
+      } else if (slen > 0 || fp->raw_size > 0) {
+        auto tmp = ws.make<std::byte>(fp->raw_size);
+        std::byte* dst = raw.data() + soff;
+        units_.push_back({[this, fp, tmp, dst, m, slen] {
+                            const auto t0 = std::chrono::steady_clock::now();
+                            dev::ThreadPool::instance().parallel_for(
+                                fp->nblocks,
+                                [&](std::size_t k) {
+                                  const std::size_t begin = k * fp->block_size;
+                                  const std::size_t len = std::min(
+                                      fp->block_size, fp->raw_size - begin);
+                                  lossless::lzss_decompress_block(
+                                      *fp, k, {tmp.data() + begin, len});
+                                },
+                                1);
+                            lossless::method_untransform(tmp, m, {dst, slen});
+                            lzss_ns_ += ns_since(t0);
+                          },
+                          soff + slen});
+      }
+    }
+
+    if (stream_overlap_pays() && !units_.empty()) {
+      lz_.emplace();
+      for (auto& u : units_) {
+        lz_->submit(u.run);
+        unit_ev_.push_back(lz_->record());
+      }
+    }
+  }
+
+  DecodeFeed(const DecodeFeed&) = delete;
+  DecodeFeed& operator=(const DecodeFeed&) = delete;
+
+  [[nodiscard]] std::span<const std::byte> bytes() const { return bytes_; }
+
+  void ensure(std::size_t off) {
+    off = std::min(off, bytes_.size());
+    while (decoded_ < off) {
+      if (next_unit_ >= units_.size()) {
+        // Only empty segments remain past the last unit.
+        decoded_ = bytes_.size();
+        break;
+      }
+      if (lz_) {
+        unit_ev_[next_unit_].wait();
+        decoded_ = std::max(decoded_, units_[next_unit_++].end);
+        // A failed block poisons the stream before its unit's event fires;
+        // surface the CorruptArchive instead of reading half-written bytes.
+        if (lz_->errored()) lz_->synchronize();
+      } else {
+        // Serial machine: pull-decode the next unit right before it is
+        // parsed (same bytes, no thread ping-pong, cache-hot handoff).
+        units_[next_unit_].run();
+        decoded_ = std::max(decoded_, units_[next_unit_].end);
+        ++next_unit_;
+      }
+    }
+  }
+
+  /// Runs every unit the parser never waited for, so a corrupt tail block
+  /// or payload throws exactly as a full unwrap does (zero-length tail
+  /// units included — ensure() may reach the end before running them).
+  void drain() {
+    if (lz_) {
+      lz_->synchronize();
+    } else {
+      for (; next_unit_ < units_.size(); ++next_unit_) units_[next_unit_].run();
+    }
+    decoded_ = bytes_.size();
+  }
+
+  [[nodiscard]] bool overlapped() const { return lz_.has_value(); }
+  [[nodiscard]] double unwrap_s() const {
+    return static_cast<double>(lzss_ns_.load()) * 1e-9;
+  }
+
+ private:
   struct DecodeUnit {
     std::function<void()> run;
     std::size_t end = 0;
   };
-  std::vector<DecodeUnit> units;
-  for (std::size_t i = 0; i < nwseg; ++i) {
-    const lossless::LzssFrame* fp = &frames[i];
-    const auto m = container.segments[i].method;
-    const std::size_t soff = seg_off[i];
-    const std::size_t slen = container.legacy
-                                 ? static_cast<std::size_t>(fp->raw_size)
-                                 : static_cast<std::size_t>(
-                                       container.segments[i].raw_size);
-    if (m == lossless::Method::Lzss) {
-      std::byte* base = raw.data() + soff;
-      for (std::size_t b = 0; b < fp->nblocks; b += kGroupBlocks) {
-        const std::size_t be = std::min(b + kGroupBlocks, fp->nblocks);
-        const std::size_t gend =
-            soff + std::min(be * fp->block_size,
-                            static_cast<std::size_t>(fp->raw_size));
-        units.push_back({[fp, base, b, be, &lzss_ns, &since] {
-                           const auto t0 = std::chrono::steady_clock::now();
-                           dev::ThreadPool::instance().parallel_for(
-                               be - b,
-                               [&](std::size_t k0) {
-                                 const std::size_t k = b + k0;
-                                 const std::size_t begin = k * fp->block_size;
-                                 const std::size_t len = std::min(
-                                     fp->block_size, fp->raw_size - begin);
-                                 lossless::lzss_decompress_block(
-                                     *fp, k, {base + begin, len});
-                               },
-                               1);
-                           lzss_ns += since(t0);
-                         },
-                         gend});
-      }
-    } else if (slen > 0 || fp->raw_size > 0) {
-      auto tmp = ws.make<std::byte>(fp->raw_size);
-      std::byte* dst = raw.data() + soff;
-      units.push_back({[fp, tmp, dst, m, slen, &lzss_ns, &since] {
-                         const auto t0 = std::chrono::steady_clock::now();
-                         dev::ThreadPool::instance().parallel_for(
-                             fp->nblocks,
-                             [&](std::size_t k) {
-                               const std::size_t begin = k * fp->block_size;
-                               const std::size_t len = std::min(
-                                   fp->block_size, fp->raw_size - begin);
-                               lossless::lzss_decompress_block(
-                                   *fp, k, {tmp.data() + begin, len});
-                             },
-                             1);
-                         lossless::method_untransform(tmp, m, {dst, slen});
-                         lzss_ns += since(t0);
-                       },
-                       soff + slen});
-    }
-  }
 
-  std::optional<dev::Stream> lz;
-  std::vector<dev::Event> unit_ev;
-  if (stream_overlap_pays() && !units.empty()) {
-    lz.emplace();
-    for (auto& u : units) {
-      lz->submit(u.run);
-      unit_ev.push_back(lz->record());
-    }
-  }
+  std::span<const std::byte> bytes_;
+  std::vector<lossless::LzssFrame> frames_;
+  std::vector<DecodeUnit> units_;
+  std::vector<dev::Event> unit_ev_;
+  std::size_t decoded_ = 0;
+  std::size_t next_unit_ = 0;
+  std::atomic<std::int64_t> lzss_ns_{0};
+  std::optional<dev::Stream> lz_;  ///< last member: drains before units die
+};
 
-  std::size_t decoded = 0;
-  std::size_t next_unit = 0;
-  const auto ensure = [&](std::size_t off) {
-    if (off > raw_size) off = raw_size;
-    while (decoded < off) {
-      if (next_unit >= units.size()) {
-        // Only empty segments remain past the last unit.
-        decoded = raw_size;
-        break;
-      }
-      if (lz) {
-        unit_ev[next_unit].wait();
-        decoded = std::max(decoded, units[next_unit++].end);
-        // A failed block poisons the stream before its unit's event
-        // fires; surface the CorruptArchive instead of reading
-        // half-written bytes.
-        if (lz->errored()) lz->synchronize();
-      } else {
-        // Serial machine: pull-decode the next unit right before it is
-        // parsed (same bytes, no thread ping-pong, cache-hot handoff).
-        units[next_unit].run();
-        decoded = std::max(decoded, units[next_unit].end);
-        ++next_unit;
-      }
-    }
-  };
-  // Saturating cursor advance: lengths are attacker-controlled u64s, and
-  // clamping to raw_size lets the ByteReader report the truncation.
-  const auto sat = [&](std::size_t base, std::uint64_t extra) {
-    if (base >= raw_size) return raw_size;
-    const std::size_t room = raw_size - base;
-    return extra >= room ? raw_size : base + static_cast<std::size_t>(extra);
-  };
+/// The full-decode engine: every full-fidelity decode (raw or wrapped,
+/// SZI1 or SZI2) runs this one body over a DecodeFeed. Anchors, outliers
+/// and the coarse SZI2 levels (>= 2, a sliver of the volume) are read whole
+/// as their bytes land. The bulk stream — SZI2 level 1 through a
+/// LevelScatterCursor, or the single SZI1 stream straight into the code
+/// array — then decodes in chunk groups, and every tile z-slab whose code
+/// prefix is complete reconstructs while later groups decode. Slabs are
+/// mutually independent (the reconstructor snapshots the cross-slab border
+/// planes at construction), so any number of them may run concurrently the
+/// moment their code prefix lands: streams read only codes below the
+/// watermark, the host writes only above it.
+///
+/// The reconstruction fleet (one dev::Stream per worker) is built only
+/// when a slab becomes ready before the last chunk group — only then is
+/// there decode left to overlap. Slabs still pending at the end (all of
+/// them for a single-group stream) run as one pool launch, exactly like
+/// ginterp_decompress_into; on a serial machine mid-stream slabs run
+/// inline while their codes are cache-hot. `dims_out` receives the field
+/// geometry for callers that crop or subsample the result.
+template <typename T>
+std::vector<T> decode_full(std::span<const std::byte> archive, bool wrapped,
+                           dev::Workspace& ws, DecodeTimings* dt = nullptr,
+                           dev::Dim3* dims_out = nullptr) {
+  core::Timer wall;
+  DecodeFeed feed(archive, wrapped, ws);
+  const auto bytes = feed.bytes();
+  const std::size_t size = bytes.size();
+  const auto ensure = [&feed](std::size_t off) { feed.ensure(off); };
+  // Per-stage busy time. Reconstruction slabs may run on dev::Streams, so
+  // they accumulate atomically in nanoseconds; Huffman decode always runs
+  // on this thread. Pipeline stalls are deliberately excluded — stages
+  // report work done, `total` the wall clock.
+  double huff_s = 0;
+  std::atomic<std::int64_t> recon_ns{0};
 
-  // Version dispatch on the inner magic; both layouts decode behind the
-  // same frame/ensure/sat machinery.
   ensure(sizeof(std::uint32_t));
-  std::uint32_t inner_magic = 0;
-  if (raw_size >= sizeof(inner_magic))
-    std::memcpy(&inner_magic, raw.data(), sizeof(inner_magic));
-
-  if (inner_magic == kMagicV2) {
-    core::ByteReader rd({raw.data(), raw_size}, "cusz-i");
-    ensure(kInnerFixedBytes + sizeof(std::uint32_t));
-    const InnerHeader h = parse_inner_header<T>(rd, kMagicV2);
-    // The directory's size follows from the segment count, so peek it
-    // (clamped to the largest legal value — a hostile count cannot force a
-    // full decode) and ensure the exact directory before the parse: every
-    // entry read stays below the watermark, and a wrong segment count fails
-    // before any entry is read.
-    const int nlevels = predictor::ginterp_level_count(h.dims);
-    ensure(sat(rd.offset(), sizeof(std::uint32_t)));
-    std::uint32_t nseg_peek = 0;
-    if (raw_size >= rd.offset() + sizeof(nseg_peek))
-      std::memcpy(&nseg_peek, raw.data() + rd.offset(), sizeof(nseg_peek));
-    const auto nseg_max = static_cast<std::uint32_t>(nlevels) + 3;
-    ensure(sat(rd.offset(),
-               sizeof(std::uint32_t) +
-                   static_cast<std::uint64_t>(std::min(nseg_peek, nseg_max)) *
-                       sizeof(SegmentEntry)));
-    const auto segs = parse_v2_directory<T>(rd, h);
-
-    const std::size_t acount = static_cast<std::size_t>(segs[0].count);
-    const std::size_t abytes = static_cast<std::size_t>(segs[0].size);
-    ensure(sat(rd.offset(), abytes));
-    auto anchors = ws.make<T>(acount);
-    if (acount > 0)
-      std::memcpy(anchors.data(), rd.read_bytes(abytes).data(), abytes);
-
-    ensure(sat(rd.offset(), segs[1].size));
-    const auto outliers = parse_outlier_blob<T>(
-        rd.read_bytes(static_cast<std::size_t>(segs[1].size)), ws);
-    if (outliers.indices.size() != segs[1].count)
-      rd.fail("outlier blob count disagrees with directory");
-
-    (void)rd.checked_array_bytes(h.volume, sizeof(quant::Code));
-    auto codes = ws.make<quant::Code>(h.volume);
-    std::fill(codes.begin(), codes.end(), static_cast<quant::Code>(h.radius));
-
-    // Coarse levels (>= 2) are a sliver of the volume: decode each whole
-    // segment as its bytes land and scatter it. Level 1 — the bulk — then
-    // pipelines chunk groups against slab reconstruction below, exactly
-    // like the v1 single stream did, with the scatter cursor's watermark
-    // standing in for the chunk count. A trailing tile index rides behind
-    // the last level and is never parsed here.
-    std::size_t last_level = segs.size();
-    for (std::size_t i = segs.size(); i-- > 2;)
-      if (segs[i].kind == kSegLevel) {
-        last_level = i;
-        break;
-      }
-    for (std::size_t i = 2; i < last_level; ++i) {
-      ensure(sat(rd.offset(), segs[i].size));
-      core::Timer huft;
-      const auto syms = huffman::decode(
-          rd.read_bytes(static_cast<std::size_t>(segs[i].size)), ws);
-      if (syms.size() != segs[i].count)
-        rd.fail("level stream symbol count mismatch");
-      predictor::LevelScatterCursor cur(h.dims, segs[i].level);
-      cur.advance(syms, syms.size(), codes);
-      huff_s += huft.lap();
+  const bool v2 = peek_magic(bytes) == kMagicV2;
+  InnerHeader h;
+  std::span<const T> anchors;
+  quant::OutlierViewT<T> outliers;
+  std::span<quant::Code> codes;
+  std::span<const std::byte> huff;  // the bulk stream, empty if absent
+  bool has_stream = true;
+  std::uint64_t huff_n = 0;
+  std::size_t hoff = 0;
+  if (v2) {
+    auto p = read_v2_prefix<T>(bytes, ensure, /*max_level=*/2, ws, huff_s);
+    h = p.h;
+    anchors = p.anchors;
+    outliers = p.outliers;
+    codes = p.codes;
+    // A trailing tile index rides behind level 1 and is never parsed here.
+    has_stream = p.next < p.segs.size() && p.segs[p.next].kind == kSegLevel;
+    if (has_stream) {
+      huff = p.rd.read_bytes(static_cast<std::size_t>(p.segs[p.next].size));
+      huff_n = p.segs[p.next].count;
+      hoff = p.rd.offset() - huff.size();
     }
+  } else {
+    core::ByteReader rd(bytes, "cusz-i");
+    ensure(kInnerFixedBytes + sizeof(std::uint64_t));
+    h = parse_inner_header<T>(rd);
+    const auto acount64 = rd.read<std::uint64_t>();
+    if (acount64 > rd.remaining())
+      rd.fail("array count exceeds remaining bytes");
+    const std::size_t acount = static_cast<std::size_t>(acount64);
+    const std::size_t abytes = rd.checked_array_bytes(acount, sizeof(T));
+    ensure(sat_add(rd.offset(), abytes, size));
+    auto a = ws.make<T>(acount);
+    if (acount > 0) std::memcpy(a.data(), rd.read_bytes(abytes).data(), abytes);
+    anchors = a;
 
-    std::vector<T> out(h.volume);
-    predictor::GInterpReconstructorT<T> recon(
-        codes, std::span<const T>(anchors), outliers, h.dims, h.eb, h.cfg,
-        h.radius, std::span<T>(out));
-    const auto run_slab_timed = [&recon, &recon_ns, &since](std::size_t bz) {
-      const auto t0 = std::chrono::steady_clock::now();
-      recon.run_slab(bz);
-      recon_ns += since(t0);
-    };
-    std::deque<dev::Stream> rcs;
-    if (stream_overlap_pays() && recon.slab_count() > 1) {
-      const std::size_t n = std::min<std::size_t>(
-          dev::ThreadPool::instance().worker_count(), recon.slab_count());
-      for (std::size_t i = 0; i < n; ++i) rcs.emplace_back();
-    }
-    std::size_t next_slab = 0;
-    const auto reconstruct_upto = [&](std::size_t code_watermark) {
-      while (next_slab < recon.slab_count() &&
-             recon.codes_needed(next_slab) <= code_watermark) {
-        const std::size_t bz = next_slab++;
-        if (!rcs.empty())
-          rcs[bz % rcs.size()].submit(
-              [&run_slab_timed, bz] { run_slab_timed(bz); });
-        else
-          run_slab_timed(bz);
-      }
-    };
+    ensure(sat_add(rd.offset(), sizeof(std::uint64_t), size));
+    const auto oblob64 = rd.read<std::uint64_t>();
+    if (oblob64 > rd.remaining())
+      rd.fail("length prefix exceeds remaining bytes");
+    ensure(sat_add(rd.offset(), oblob64, size));
+    outliers = parse_outlier_blob<T>(
+        rd.read_bytes(static_cast<std::size_t>(oblob64)), ws);
 
-    if (last_level < segs.size()) {
-      const auto& seg1 = segs[last_level];
-      const auto huff = rd.read_bytes(static_cast<std::size_t>(seg1.size));
-      const std::size_t hoff = rd.offset() - huff.size();
-      ensure(sat(hoff, sizeof(std::uint32_t)));
-      std::uint32_t nbins = 0;
-      if (huff.size() >= sizeof(nbins))
-        std::memcpy(&nbins, huff.data(), sizeof(nbins));
-      const std::size_t hfixed = sizeof(std::uint32_t) + nbins +
-                                 sizeof(std::uint64_t) +
-                                 sizeof(std::uint32_t) + sizeof(std::uint64_t);
-      ensure(sat(hoff, hfixed));
-      std::uint64_t nsym = 0;
-      std::uint32_t csz = 0;
-      if (huff.size() >= hfixed) {
-        std::memcpy(&nsym, huff.data() + sizeof(std::uint32_t) + nbins,
-                    sizeof(nsym));
-        std::memcpy(&csz,
-                    huff.data() + sizeof(std::uint32_t) + nbins + sizeof(nsym),
-                    sizeof(csz));
-      }
-      const std::uint64_t nchunks64 =
-          csz == 0 ? 0 : nsym / csz + (nsym % csz != 0 ? 1 : 0);
-      ensure(sat(hoff, hfixed + std::min<std::uint64_t>(nchunks64,
-                                                        raw_size) *
-                                    sizeof(std::uint64_t)));
-      core::Timer plant;
-      const auto plan = huffman::decode_plan(huff, ws);
-      huff_s += plant.lap();
-      if (plan.n != seg1.count)
-        throw core::CorruptArchive("cusz-i", hoff,
-                                   "level stream symbol count mismatch");
-
-      auto syms1 = ws.make<quant::Code>(plan.n);
-      const std::size_t pay_off =
-          plan.payload.empty()
-              ? raw_size
-              : static_cast<std::size_t>(plan.payload.data() - raw.data());
-      predictor::LevelScatterCursor cur(h.dims, 1);
-
-      constexpr std::uint64_t kGroupBytes = 4 * lossless::kLzssBlock;
-      std::size_t c = 0;
-      while (c < plan.nchunks) {
-        const std::uint64_t start = plan.offsets[c];
-        std::size_t cend = c + 1;
-        while (cend < plan.nchunks &&
-               plan.offsets[cend] - start < kGroupBytes)
-          ++cend;
-        const std::uint64_t done =
-            cend < plan.nchunks ? plan.offsets[cend] : plan.payload_bytes;
-        ensure(sat(pay_off, done));
-        core::Timer huft;
-        huffman::decode_chunks(plan, c, cend, syms1);
-        c = cend;
-        cur.advance(syms1, std::min(cend * plan.chunk_size, plan.n), codes);
-        huff_s += huft.lap();
-        reconstruct_upto(cur.watermark());
-      }
-    }
-    // Drain: every unit must run even if the parser never read its bytes,
-    // so a corrupt tail block or payload throws exactly as it does in the
-    // unfused path (zero-length tail units included — ensure() may reach
-    // raw_size before running them).
-    if (lz) {
-      lz->synchronize();
-    } else {
-      for (; next_unit < units.size(); ++next_unit) units[next_unit].run();
-      decoded = raw_size;
-    }
-
-    reconstruct_upto(h.volume);
-    const bool overlapped = lz.has_value() || !rcs.empty();
-    {
-      std::exception_ptr err;
-      for (auto& s : rcs) {
-        try {
-          s.synchronize();
-        } catch (...) {
-          if (!err) err = std::current_exception();
-        }
-      }
-      if (err) std::rethrow_exception(err);
-    }
-    ws.reset();
-    if (dt) {
-      dt->unwrap = static_cast<double>(lzss_ns.load()) * 1e-9;
-      dt->huffman = huff_s;
-      dt->reconstruct = static_cast<double>(recon_ns.load()) * 1e-9;
-      dt->overlapped = overlapped;
-      dt->total = wall.lap();
-    }
-    return out;
+    ensure(sat_add(rd.offset(), sizeof(std::uint64_t), size));
+    const auto hsize64 = rd.read<std::uint64_t>();
+    if (hsize64 > rd.remaining())
+      rd.fail("length prefix exceeds remaining bytes");
+    huff = rd.read_bytes(static_cast<std::size_t>(hsize64));
+    huff_n = h.volume;
+    hoff = rd.offset() - huff.size();
   }
+  if (dims_out) *dims_out = h.dims;
 
-  core::ByteReader rd({raw.data(), raw_size}, "cusz-i");
-  ensure(kInnerFixedBytes + sizeof(std::uint64_t));
-  const InnerHeader h = parse_inner_header<T>(rd);
-
-  const auto acount64 = rd.read<std::uint64_t>();
-  if (acount64 > rd.remaining()) rd.fail("array count exceeds remaining bytes");
-  const std::size_t acount = static_cast<std::size_t>(acount64);
-  const std::size_t abytes = rd.checked_array_bytes(acount, sizeof(T));
-  ensure(sat(rd.offset(), abytes));
-  auto anchors = ws.make<T>(acount);
-  if (acount > 0)
-    std::memcpy(anchors.data(), rd.read_bytes(abytes).data(), abytes);
-
-  ensure(sat(rd.offset(), sizeof(std::uint64_t)));
-  const auto oblob64 = rd.read<std::uint64_t>();
-  if (oblob64 > rd.remaining()) rd.fail("length prefix exceeds remaining bytes");
-  ensure(sat(rd.offset(), oblob64));
-  const auto outliers = parse_outlier_blob<T>(
-      rd.read_bytes(static_cast<std::size_t>(oblob64)), ws);
-
-  ensure(sat(rd.offset(), sizeof(std::uint64_t)));
-  const auto hsize64 = rd.read<std::uint64_t>();
-  if (hsize64 > rd.remaining()) rd.fail("length prefix exceeds remaining bytes");
-  const auto huff = rd.read_bytes(static_cast<std::size_t>(hsize64));
-  const std::size_t hoff = rd.offset() - huff.size();
-
-  // Huffman header extent (u32 nbins | lengths | u64 n | u32 chunk |
-  // u64 payload | offsets): peek just enough to know how many bytes
-  // decode_plan will touch, wait for them, then build the plan. The plan
-  // never reads payload bytes, so the stream may still be producing them.
-  ensure(sat(hoff, sizeof(std::uint32_t)));
-  std::uint32_t nbins = 0;
-  if (huff.size() >= sizeof(nbins)) std::memcpy(&nbins, huff.data(), sizeof(nbins));
-  const std::size_t hfixed = sizeof(std::uint32_t) + nbins +
-                             sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-                             sizeof(std::uint64_t);
-  ensure(sat(hoff, hfixed));
-  std::uint64_t nsym = 0;
-  std::uint32_t csz = 0;
-  if (huff.size() >= hfixed) {
-    std::memcpy(&nsym, huff.data() + sizeof(std::uint32_t) + nbins,
-                sizeof(nsym));
-    std::memcpy(&csz,
-                huff.data() + sizeof(std::uint32_t) + nbins + sizeof(nsym),
-                sizeof(csz));
+  std::optional<huffman::DecodePlan> plan;
+  if (has_stream) {
+    // Huffman header extent (u32 nbins | lengths | u64 n | u32 chunk |
+    // u64 payload | offsets): peek just enough to know how many bytes
+    // decode_plan will touch, wait for them, then build the plan. The plan
+    // never reads payload bytes, so the feed may still be producing them.
+    ensure(sat_add(hoff, sizeof(std::uint32_t), size));
+    std::uint32_t nbins = 0;
+    if (huff.size() >= sizeof(nbins))
+      std::memcpy(&nbins, huff.data(), sizeof(nbins));
+    const std::size_t hfixed = sizeof(std::uint32_t) + nbins +
+                               sizeof(std::uint64_t) + sizeof(std::uint32_t) +
+                               sizeof(std::uint64_t);
+    ensure(sat_add(hoff, hfixed, size));
+    std::uint64_t nsym = 0;
+    std::uint32_t csz = 0;
+    if (huff.size() >= hfixed) {
+      std::memcpy(&nsym, huff.data() + sizeof(std::uint32_t) + nbins,
+                  sizeof(nsym));
+      std::memcpy(&csz,
+                  huff.data() + sizeof(std::uint32_t) + nbins + sizeof(nsym),
+                  sizeof(csz));
+    }
+    const std::uint64_t nchunks64 =
+        csz == 0 ? 0 : nsym / csz + (nsym % csz != 0 ? 1 : 0);
+    ensure(sat_add(hoff,
+                   hfixed + std::min<std::uint64_t>(nchunks64, size) *
+                                sizeof(std::uint64_t),
+                   size));
+    core::Timer plant;
+    plan = huffman::decode_plan(huff, ws);
+    huff_s += plant.lap();
+    if (plan->n != huff_n)
+      throw core::CorruptArchive("cusz-i", hoff,
+                                 v2 ? "level stream symbol count mismatch"
+                                    : "code count mismatch");
   }
-  const std::uint64_t nchunks64 =
-      csz == 0 ? 0 : nsym / csz + (nsym % csz != 0 ? 1 : 0);
-  ensure(sat(hoff, hfixed + std::min<std::uint64_t>(nchunks64,
-                                                    raw_size) *
-                                sizeof(std::uint64_t)));
-  core::Timer plant;
-  const auto plan = huffman::decode_plan(huff, ws);
-  huff_s += plant.lap();
-  if (plan.n != h.volume)
-    throw core::CorruptArchive("cusz-i", hoff, "code count mismatch");
+  // SZI1's single stream covers every position, so its codes need no
+  // prefill.
+  if (!v2) codes = ws.make<quant::Code>(h.volume);
 
-  auto codes = ws.make<quant::Code>(plan.n);
-  const std::size_t pay_off =
-      plan.payload.empty()
-          ? raw_size
-          : static_cast<std::size_t>(plan.payload.data() - raw.data());
-
-  // In-place reconstruction rides the same watermark idea one level up:
-  // the reconstructor validates and scatters anchors/outliers into `out`
-  // now, and as each Huffman chunk group lands, every tile z-slab whose
-  // code prefix is complete reconstructs immediately — inline on a serial
-  // machine (the slab's codes are still cache-hot), round-robin across a
-  // per-worker stream fleet when workers exist. Slabs are mutually
-  // independent (the reconstructor snapshots the cross-slab border planes
-  // at construction), so any number of them may run concurrently the
-  // moment their code prefix lands; every stream reads only codes below
-  // the watermark, the host writes only above it. `rcs` is declared after
-  // everything its tasks borrow, so unwind order drains it before those
-  // locals die.
+  // `rcs` is declared after everything its tasks borrow, so unwind order
+  // drains it before those locals die.
   std::vector<T> out(h.volume);
-  predictor::GInterpReconstructorT<T> recon(codes, std::span<const T>(anchors),
-                                            outliers, h.dims, h.eb, h.cfg,
-                                            h.radius, std::span<T>(out));
-  const auto run_slab_timed = [&recon, &recon_ns, &since](std::size_t bz) {
+  predictor::GInterpReconstructorT<T> recon(codes, anchors, outliers, h.dims,
+                                            h.eb, h.cfg, h.radius,
+                                            std::span<T>(out));
+  const std::size_t nslabs = recon.slab_count();
+  const auto run_slab_timed = [&recon, &recon_ns](std::size_t bz) {
     const auto t0 = std::chrono::steady_clock::now();
     recon.run_slab(bz);
-    recon_ns += since(t0);
+    recon_ns += ns_since(t0);
   };
+  const bool overlap = stream_overlap_pays();
   std::deque<dev::Stream> rcs;
-  if (stream_overlap_pays() && recon.slab_count() > 1) {
-    const std::size_t n = std::min<std::size_t>(
-        dev::ThreadPool::instance().worker_count(), recon.slab_count());
-    for (std::size_t i = 0; i < n; ++i) rcs.emplace_back();
-  }
   std::size_t next_slab = 0;
   const auto reconstruct_upto = [&](std::size_t code_watermark) {
-    while (next_slab < recon.slab_count() &&
+    while (next_slab < nslabs &&
            recon.codes_needed(next_slab) <= code_watermark) {
       const std::size_t bz = next_slab++;
-      if (!rcs.empty())
-        rcs[bz % rcs.size()].submit(
-            [&run_slab_timed, bz] { run_slab_timed(bz); });
-      else
+      if (!overlap) {
         run_slab_timed(bz);
+        continue;
+      }
+      if (rcs.empty()) {
+        const std::size_t n = std::min<std::size_t>(
+            dev::ThreadPool::instance().worker_count(), nslabs);
+        for (std::size_t i = 0; i < n; ++i) rcs.emplace_back();
+      }
+      rcs[bz % rcs.size()].submit(
+          [&run_slab_timed, bz] { run_slab_timed(bz); });
     }
   };
 
-  constexpr std::uint64_t kGroupBytes = 4 * lossless::kLzssBlock;
-  std::size_t c = 0;
-  while (c < plan.nchunks) {
-    const std::uint64_t start = plan.offsets[c];
-    std::size_t cend = c + 1;
-    while (cend < plan.nchunks && plan.offsets[cend] - start < kGroupBytes)
-      ++cend;
-    const std::uint64_t done =
-        cend < plan.nchunks ? plan.offsets[cend] : plan.payload_bytes;
-    ensure(sat(pay_off, done));
-    core::Timer huft;
-    huffman::decode_chunks(plan, c, cend, codes);
-    huff_s += huft.lap();
-    c = cend;
-    reconstruct_upto(std::min(cend * plan.chunk_size, plan.n));
+  if (has_stream) {
+    // SZI2 level 1 decodes into its own stream buffer and scatters through
+    // the cursor, whose watermark stands in for the chunk count; SZI1
+    // decodes in place.
+    const auto syms = v2 ? ws.make<quant::Code>(plan->n) : codes;
+    std::optional<predictor::LevelScatterCursor> scatter;
+    if (v2) scatter.emplace(h.dims, 1);
+    const std::size_t pay_off =
+        plan->payload.empty()
+            ? size
+            : static_cast<std::size_t>(plan->payload.data() - bytes.data());
+    constexpr std::uint64_t kGroupBytes = 4 * lossless::kLzssBlock;
+    std::size_t c = 0;
+    while (c < plan->nchunks) {
+      const std::uint64_t start = plan->offsets[c];
+      std::size_t cend = c + 1;
+      while (cend < plan->nchunks && plan->offsets[cend] - start < kGroupBytes)
+        ++cend;
+      const std::uint64_t done =
+          cend < plan->nchunks ? plan->offsets[cend] : plan->payload_bytes;
+      ensure(sat_add(pay_off, done, size));
+      core::Timer huft;
+      huffman::decode_chunks(*plan, c, cend, syms);
+      c = cend;
+      std::size_t watermark = std::min(cend * plan->chunk_size, plan->n);
+      if (scatter) watermark = scatter->advance(syms, watermark, codes);
+      huff_s += huft.lap();
+      if (c < plan->nchunks) reconstruct_upto(watermark);
+    }
   }
-  // Drain: every unit must run even if the parser never read its bytes, so
-  // a corrupt tail block or payload throws exactly as it does in the
-  // unfused path.
-  if (lz) {
-    lz->synchronize();
-  } else {
-    for (; next_unit < units.size(); ++next_unit) units[next_unit].run();
-    decoded = raw_size;
-  }
+  feed.drain();
 
-  reconstruct_upto(plan.n);
-  const bool overlapped = lz.has_value() || !rcs.empty();
+  if (!rcs.empty()) {
+    reconstruct_upto(h.volume);
+  } else {
+    core::Timer recont;
+    const std::size_t first = next_slab;
+    dev::launch_linear(
+        nslabs - first, [&](std::size_t k) { recon.run_slab(first + k); }, 1);
+    recon_ns += static_cast<std::int64_t>(recont.lap() * 1e9);
+  }
   {
     // Drain every reconstruction stream before rethrowing so no task still
     // references the locals; the first failure wins.
@@ -1466,13 +1350,22 @@ std::vector<T> decompress_bitcomp_typed(std::span<const std::byte> bytes,
   }
   ws.reset();
   if (dt) {
-    dt->unwrap = static_cast<double>(lzss_ns.load()) * 1e-9;
+    dt->unwrap = feed.unwrap_s();
     dt->huffman = huff_s;
     dt->reconstruct = static_cast<double>(recon_ns.load()) * 1e-9;
-    dt->overlapped = overlapped;
+    dt->overlapped = feed.overlapped() || !rcs.empty();
     dt->total = wall.lap();
   }
   return out;
+}
+
+/// Full decode of a raw archive into a throwaway arena.
+template <typename T>
+std::vector<T> decode_full_local(std::span<const std::byte> bytes,
+                                 DecodeTimings* dt = nullptr) {
+  dev::Arena local;
+  dev::Workspace ws(local);
+  return decode_full<T>(bytes, /*wrapped=*/false, ws, dt);
 }
 
 // ---- Random-access (ROI) decode ------------------------------------------
@@ -1506,10 +1399,26 @@ std::span<const std::byte> view_pfx(InnerSource& s, std::uint64_t off,
                 static_cast<std::size_t>(std::min<std::uint64_t>(len, sz - off)));
 }
 
+/// One ROI call's reads of a shared io::ArchiveSource. `fetched` counts the
+/// bytes this call pulled — the source's own counter also counts every
+/// concurrent reader's fetches.
+struct SourceReader {
+  io::ArchiveSource& src;
+  std::size_t fetched = 0;
+
+  [[nodiscard]] std::size_t size() const { return src.size(); }
+  [[nodiscard]] std::span<const std::byte> view(
+      std::size_t off, std::size_t len, std::vector<std::byte>& scratch) {
+    const auto v = src.view(off, len, scratch);
+    fetched += v.size();
+    return v;
+  }
+};
+
 /// Raw SZI2 file: inner byte space == archive byte space.
 class RawInnerSource final : public InnerSource {
  public:
-  explicit RawInnerSource(io::ArchiveSource& src) : src_(src) {}
+  explicit RawInnerSource(SourceReader& src) : src_(src) {}
 
   [[nodiscard]] std::size_t size() const override { return src_.size(); }
   [[nodiscard]] std::span<const std::byte> view(std::size_t off,
@@ -1518,7 +1427,7 @@ class RawInnerSource final : public InnerSource {
   }
 
  private:
-  io::ArchiveSource& src_;
+  SourceReader& src_;
   std::vector<std::byte> scratch_;
 };
 
@@ -1531,7 +1440,7 @@ class RawInnerSource final : public InnerSource {
 /// materializes whole on first touch, exactly like the progressive reader.
 class WrappedInnerSource final : public InnerSource {
  public:
-  WrappedInnerSource(io::ArchiveSource& src, dev::Workspace& ws)
+  WrappedInnerSource(SourceReader& src, dev::Workspace& ws)
       : src_(src), ws_(ws) {
     const std::size_t fsize = src.size();
     constexpr std::size_t kTable = 2 * sizeof(std::uint32_t);
@@ -1641,14 +1550,7 @@ class WrappedInnerSource final : public InnerSource {
     const auto head =
         src_.view(s.file_off, std::min(want, s.file_len), scratch_);
     s.frame = lossless::lzss_parse_frame_header(head, s.file_len, ws_);
-    if (s.method == lossless::Method::Lzss && s.frame.raw_size != s.raw_len)
-      throw core::CorruptArchive("bitcomp-wrapper", s.file_off,
-                                 "segment frame size mismatch");
-    if (s.method == lossless::Method::Bitshuffle &&
-        s.frame.raw_size != lossless::bitshuffle_frame_size(s.raw_len))
-      throw core::CorruptArchive(
-          "bitcomp-wrapper", s.file_off,
-          "bitshuffle payload size does not match segment");
+    check_wrap_frame(s.method, s.raw_len, s.frame, s.file_off);
     s.frame_parsed = true;
   }
 
@@ -1702,7 +1604,7 @@ class WrappedInnerSource final : public InnerSource {
                                           {dst.data() + roff, rlen});
   }
 
-  io::ArchiveSource& src_;
+  SourceReader& src_;
   dev::Workspace& ws_;
   std::vector<Seg> segs_;
   std::size_t raw_size_ = 0;
@@ -2057,29 +1959,16 @@ bool roi_v2(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
 }
 
 /// Full-decode fallback for archives the index cannot steer (legacy SZI1,
-/// pre-index SZI2, legacy 'BBCP' wrappers): decode everything, then crop.
+/// pre-index SZI2, legacy 'BBCP' wrappers): decode everything through the
+/// engine — wrapped bytes included — then crop.
 template <typename T>
-void roi_fallback(io::ArchiveSource& src, const RoiBox& box,
-                  dev::Workspace& ws, RoiResultT<T>& r) {
+void roi_fallback(SourceReader& src, const RoiBox& box, dev::Workspace& ws,
+                  RoiResultT<T>& r) {
   std::vector<std::byte> scratch;
   const auto all = src.view(0, src.size(), scratch);
-  const std::uint32_t magic = peek_magic(all);
-  std::vector<T> full;
   dev::Dim3 dims;
-  const auto dims_of = [](std::span<const std::byte> bytes) {
-    core::ByteReader rd(bytes, "cusz-i");
-    const InnerHeader h = parse_inner_header<T>(
-        rd, peek_magic(bytes) == kMagicV2 ? kMagicV2 : kMagic);
-    return h.dims;
-  };
-  if (magic == kBitcompWrapMagic || magic == kBitcompWrapMagicV2) {
-    const auto inner = bitcomp_unwrap_archive(all);
-    dims = dims_of(inner);
-    full = decompress_typed<T>(inner, ws);
-  } else {
-    dims = dims_of(all);
-    full = decompress_typed<T>(all, ws);
-  }
+  const auto full = decode_full<T>(all, is_wrapper_magic(peek_magic(all)), ws,
+                                   nullptr, &dims);
   const auto bad = [&](std::size_t lo, std::size_t ext, std::size_t n) {
     return ext == 0 || ext > n || lo > n - ext;
   };
@@ -2100,57 +1989,73 @@ void roi_fallback(io::ArchiveSource& src, const RoiBox& box,
 /// Dispatch on the outermost magic: raw SZI2 and 'BBC2'-wrapped SZI2 take
 /// the indexed path when the archive carries a tile index; everything else
 /// (and pre-index archives) falls back to full decode + crop. `bytes_read`
-/// is the source's honest fetch delta either way.
+/// counts the bytes this call fetched either way, so concurrent readers of
+/// one source each report their own.
 template <typename T>
 RoiResultT<T> decompress_roi_typed(io::ArchiveSource& src, const RoiBox& box) {
   dev::Arena local;
   dev::Workspace ws(local);
   core::Timer wall;
-  const std::uint64_t before = src.bytes_read();
+  SourceReader in{src};
   RoiResultT<T> r;
   std::uint32_t magic = 0;
   {
     std::vector<std::byte> scratch;
-    if (src.size() >= sizeof(magic)) {
-      const auto v = src.view(0, sizeof(magic), scratch);
+    if (in.size() >= sizeof(magic)) {
+      const auto v = in.view(0, sizeof(magic), scratch);
       std::memcpy(&magic, v.data(), sizeof(magic));
     }
   }
   bool done = false;
   if (magic == kMagicV2) {
-    RawInnerSource inner(src);
+    RawInnerSource inner(in);
     done = roi_v2<T>(inner, box, ws, r);
   } else if (magic == kBitcompWrapMagicV2) {
-    WrappedInnerSource inner(src, ws);
+    WrappedInnerSource inner(in, ws);
     if (inner_peek_magic(inner) == kMagicV2)
       done = roi_v2<T>(inner, box, ws, r);
   }
-  if (!done) roi_fallback<T>(src, box, ws, r);
-  r.bytes_read = static_cast<std::size_t>(src.bytes_read() - before);
+  if (!done) roi_fallback<T>(in, box, ws, r);
+  r.bytes_read = in.fetched;
   r.timings.total = wall.lap();
   return r;
 }
 
 /// Full-decode fallback for progressive requests against archives without
-/// a segment directory (legacy SZI1): decode everything, then subsample
-/// onto the preview grid. `whole_size` is what bytes_read reports — the
-/// entire archive was consumed.
+/// a segment directory (legacy SZI1, raw or wrapped): decode everything
+/// through the engine, then subsample onto the preview grid. The whole
+/// archive was consumed, so bytes_read is its size.
 template <typename T>
-ProgressiveResultT<T> progressive_from_full(std::span<const std::byte> inner,
-                                            std::size_t whole_size,
+ProgressiveResultT<T> progressive_from_full(std::span<const std::byte> bytes,
                                             int max_level,
                                             dev::Workspace& ws) {
-  core::ByteReader rd(inner, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd);
-  const int nlevels = predictor::ginterp_level_count(h.dims);
-  const int level = std::clamp(max_level, 1, nlevels + 1);
-  const auto full = decompress_typed<T>(inner, ws);
+  dev::Dim3 dims;
+  const auto full = decode_full<T>(bytes, is_wrapper_magic(peek_magic(bytes)),
+                                   ws, nullptr, &dims);
+  const int level =
+      std::clamp(max_level, 1, predictor::ginterp_level_count(dims) + 1);
   ProgressiveResultT<T> r;
-  r.data =
-      predictor::ginterp_subsample(std::span<const T>(full), h.dims, level);
-  r.dims = predictor::ginterp_preview_dims(h.dims, level);
+  r.data = predictor::ginterp_subsample(std::span<const T>(full), dims, level);
+  r.dims = predictor::ginterp_preview_dims(dims, level);
   r.level = level;
-  r.bytes_read = whole_size;
+  r.bytes_read = bytes.size();
+  return r;
+}
+
+/// Replays the partial reconstruction of a read SZI2 prefix onto its
+/// preview grid.
+template <typename T>
+ProgressiveResultT<T> preview_from_prefix(const V2Prefix<T>& p,
+                                          std::size_t bytes_read,
+                                          dev::Workspace& ws) {
+  ProgressiveResultT<T> r;
+  r.data = predictor::ginterp_decompress_to_level(
+      p.codes, p.anchors, p.outliers, p.h.dims, p.h.eb, p.h.cfg, p.h.radius,
+      p.level, ws);
+  r.dims = predictor::ginterp_preview_dims(p.h.dims, p.level);
+  r.level = p.level;
+  r.bytes_read = bytes_read;
+  ws.reset();
   return r;
 }
 
@@ -2162,46 +2067,10 @@ ProgressiveResultT<T> progressive_from_full(std::span<const std::byte> inner,
 template <typename T>
 ProgressiveResultT<T> progressive_v2_raw(std::span<const std::byte> bytes,
                                          int max_level, dev::Workspace& ws) {
-  core::ByteReader rd(bytes, "cusz-i");
-  const InnerHeader h = parse_inner_header<T>(rd, kMagicV2);
-  const auto segs = parse_v2_directory<T>(rd, h);
-  const int nlevels = predictor::ginterp_level_count(h.dims);
-  const int level = std::clamp(max_level, 1, nlevels + 1);
-
-  const std::size_t acount = static_cast<std::size_t>(segs[0].count);
-  const std::size_t abytes = static_cast<std::size_t>(segs[0].size);
-  auto anchors = ws.make<T>(acount);
-  if (acount > 0)
-    std::memcpy(anchors.data(), rd.read_bytes(abytes).data(), abytes);
-
-  const auto outliers = parse_outlier_blob<T>(
-      rd.read_bytes(static_cast<std::size_t>(segs[1].size)), ws);
-  if (outliers.indices.size() != segs[1].count)
-    rd.fail("outlier blob count disagrees with directory");
-
-  (void)rd.checked_array_bytes(h.volume, sizeof(quant::Code));
-  auto codes = ws.make<quant::Code>(h.volume);
-  std::fill(codes.begin(), codes.end(), static_cast<quant::Code>(h.radius));
-
-  for (std::size_t i = 2; i < segs.size() && segs[i].level >= level; ++i) {
-    const auto syms = huffman::decode(
-        rd.read_bytes(static_cast<std::size_t>(segs[i].size)), ws);
-    if (syms.size() != segs[i].count)
-      rd.fail("level stream symbol count mismatch");
-    predictor::LevelScatterCursor cur(h.dims, segs[i].level);
-    cur.advance(syms, syms.size(), codes);
-  }
-  const std::size_t consumed = rd.offset();
-
-  ProgressiveResultT<T> r;
-  r.data = predictor::ginterp_decompress_to_level(
-      codes, std::span<const T>(anchors), outliers, h.dims, h.eb, h.cfg,
-      h.radius, level, ws);
-  r.dims = predictor::ginterp_preview_dims(h.dims, level);
-  r.level = level;
-  r.bytes_read = consumed;
-  ws.reset();
-  return r;
+  double huff_s = 0;
+  const auto p = read_v2_prefix<T>(
+      bytes, [](std::size_t) {}, max_level, ws, huff_s);
+  return preview_from_prefix(p, p.rd.offset(), ws);
 }
 
 /// Progressive decode through the 'BBCP'/'BBC2' wrappers: LZSS blocks
@@ -2237,17 +2106,9 @@ ProgressiveResultT<T> progressive_wrapped(std::span<const std::byte> bytes,
                                    "container truncated inside a segment "
                                    "the preview needs");
       frames[i] = lossless::lzss_parse_frame(container.payloads[i], ws);
-      if (!container.legacy) {
-        const auto slen = static_cast<std::size_t>(s.raw_size);
-        if (s.method == lossless::Method::Lzss && frames[i].raw_size != slen)
-          throw core::CorruptArchive("bitcomp-wrapper", 0,
-                                     "segment frame size mismatch");
-        if (s.method == lossless::Method::Bitshuffle &&
-            frames[i].raw_size != lossless::bitshuffle_frame_size(slen))
-          throw core::CorruptArchive("bitcomp-wrapper", 0,
-                                     "bitshuffle payload size does not match "
-                                     "segment");
-      }
+      if (!container.legacy)
+        check_wrap_frame(s.method, static_cast<std::size_t>(s.raw_size),
+                         frames[i], 0);
       parsed[i] = 1;
     }
     return frames[i];
@@ -2306,11 +2167,6 @@ ProgressiveResultT<T> progressive_wrapped(std::span<const std::byte> bytes,
       nb = 0;
     }
   };
-  const auto sat = [&](std::size_t base, std::uint64_t extra) {
-    if (base >= raw_size) return raw_size;
-    const std::size_t room = raw_size - base;
-    return extra >= room ? raw_size : base + static_cast<std::size_t>(extra);
-  };
   // Wrapper framing + compressed extent consumed so far. Fully-consumed
   // payloads count whole; a partially-decoded method-0 payload counts its
   // frame header plus the block extent, which for a legacy archive is
@@ -2332,67 +2188,12 @@ ProgressiveResultT<T> progressive_wrapped(std::span<const std::byte> bytes,
   std::uint32_t inner_magic = 0;
   if (raw_size >= sizeof(inner_magic))
     std::memcpy(&inner_magic, raw.data(), sizeof(inner_magic));
-  if (inner_magic != kMagicV2) {
-    ensure(raw_size);
-    return progressive_from_full<T>({raw.data(), raw_size}, bytes.size(),
-                                    max_level, ws);
-  }
-
-  core::ByteReader rd({raw.data(), raw_size}, "cusz-i");
-  ensure(kInnerFixedBytes + sizeof(std::uint32_t));
-  const InnerHeader h = parse_inner_header<T>(rd, kMagicV2);
-  const int nlevels = predictor::ginterp_level_count(h.dims);
-  // Peek the segment count (clamped to the largest legal value) so the
-  // ensure covers the exact directory for both pre-index and indexed
-  // layouts; a preview never pays for bytes past it.
-  ensure(sat(rd.offset(), sizeof(std::uint32_t)));
-  std::uint32_t nseg_peek = 0;
-  if (raw_size >= rd.offset() + sizeof(nseg_peek))
-    std::memcpy(&nseg_peek, raw.data() + rd.offset(), sizeof(nseg_peek));
-  const auto nseg_max = static_cast<std::uint32_t>(nlevels) + 3;
-  ensure(sat(rd.offset(),
-             sizeof(std::uint32_t) +
-                 static_cast<std::uint64_t>(std::min(nseg_peek, nseg_max)) *
-                     sizeof(SegmentEntry)));
-  const auto segs = parse_v2_directory<T>(rd, h);
-  const int level = std::clamp(max_level, 1, nlevels + 1);
-
-  const std::size_t acount = static_cast<std::size_t>(segs[0].count);
-  const std::size_t abytes = static_cast<std::size_t>(segs[0].size);
-  ensure(sat(rd.offset(), abytes));
-  auto anchors = ws.make<T>(acount);
-  if (acount > 0)
-    std::memcpy(anchors.data(), rd.read_bytes(abytes).data(), abytes);
-
-  ensure(sat(rd.offset(), segs[1].size));
-  const auto outliers = parse_outlier_blob<T>(
-      rd.read_bytes(static_cast<std::size_t>(segs[1].size)), ws);
-  if (outliers.indices.size() != segs[1].count)
-    rd.fail("outlier blob count disagrees with directory");
-
-  (void)rd.checked_array_bytes(h.volume, sizeof(quant::Code));
-  auto codes = ws.make<quant::Code>(h.volume);
-  std::fill(codes.begin(), codes.end(), static_cast<quant::Code>(h.radius));
-
-  for (std::size_t i = 2; i < segs.size() && segs[i].level >= level; ++i) {
-    ensure(sat(rd.offset(), segs[i].size));
-    const auto syms = huffman::decode(
-        rd.read_bytes(static_cast<std::size_t>(segs[i].size)), ws);
-    if (syms.size() != segs[i].count)
-      rd.fail("level stream symbol count mismatch");
-    predictor::LevelScatterCursor cur(h.dims, segs[i].level);
-    cur.advance(syms, syms.size(), codes);
-  }
-
-  ProgressiveResultT<T> r;
-  r.data = predictor::ginterp_decompress_to_level(
-      codes, std::span<const T>(anchors), outliers, h.dims, h.eb, h.cfg,
-      h.radius, level, ws);
-  r.dims = predictor::ginterp_preview_dims(h.dims, level);
-  r.level = level;
-  r.bytes_read = consumed_bytes();
-  ws.reset();
-  return r;
+  if (inner_magic != kMagicV2)
+    return progressive_from_full<T>(bytes, max_level, ws);
+  double huff_s = 0;
+  const auto p = read_v2_prefix<T>({raw.data(), raw_size}, ensure, max_level,
+                                   ws, huff_s);
+  return preview_from_prefix(p, consumed_bytes(), ws);
 }
 
 /// Version dispatch for the progressive entry points: 'BBCP'/'BBC2' →
@@ -2402,10 +2203,10 @@ template <typename T>
 ProgressiveResultT<T> decompress_progressive_typed(
     std::span<const std::byte> bytes, int max_level, dev::Workspace& ws) {
   const std::uint32_t magic = peek_magic(bytes);
-  if (magic == kBitcompWrapMagic || magic == kBitcompWrapMagicV2)
+  if (is_wrapper_magic(magic))
     return progressive_wrapped<T>(bytes, max_level, ws);
   if (magic == kMagicV2) return progressive_v2_raw<T>(bytes, max_level, ws);
-  return progressive_from_full<T>(bytes, bytes.size(), max_level, ws);
+  return progressive_from_full<T>(bytes, max_level, ws);
 }
 
 /// SZI2 directory parse for the public cuszi_archive_segments().
@@ -2467,8 +2268,7 @@ std::vector<BatchItem> compress_many_checked_impl(
       try {
         out[f].bytes = compress_typed<float>(fields[f].data, fields[f].dims,
                                              params, &out[f].timings,
-                                             /*fused=*/true,
-                                             /*topk=*/true, ws);
+                                             /*fused=*/true, ws);
       } catch (...) {
         out[f].error = std::current_exception();
         ws.reset();
@@ -2498,19 +2298,16 @@ std::vector<std::vector<std::byte>> compress_many_impl(
 }
 
 /// The Compressor-interface adapter over the f32 typed API. Compression
-/// runs the fused pipeline (`topk` only affects the unfused free-function
-/// reference path, kept for the §VI-A histogram ablation).
+/// runs the fused pipeline.
 class Cuszi final : public Compressor {
  public:
-  explicit Cuszi(bool topk) : topk_(topk) {}
-
   [[nodiscard]] std::string name() const override { return "cuSZ-i"; }
 
   [[nodiscard]] CompressResult compress(const Field& field,
                                         const CompressParams& p) override {
     CompressResult r;
     r.bytes = compress_typed<float>(field.data, field.dims, p, &r.timings,
-                                    /*fused=*/true, topk_);
+                                    /*fused=*/true);
     return r;
   }
 
@@ -2547,7 +2344,7 @@ class Cuszi final : public Compressor {
   [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
                                               double* decode_seconds) override {
     core::Timer total;
-    auto out = decompress_typed<float>(bytes);
+    auto out = decode_full_local<float>(bytes);
     if (decode_seconds) *decode_seconds = total.lap();
     return out;
   }
@@ -2556,7 +2353,7 @@ class Cuszi final : public Compressor {
                                               double* decode_seconds,
                                               dev::Workspace& ws) override {
     core::Timer total;
-    auto out = decompress_typed<float>(bytes, ws);
+    auto out = decode_full<float>(bytes, /*wrapped=*/false, ws);
     if (decode_seconds) *decode_seconds = total.lap();
     return out;
   }
@@ -2575,20 +2372,20 @@ class Cuszi final : public Compressor {
       std::span<const std::byte> bytes, double* decode_seconds) override {
     core::Timer total;
     dev::Workspace ws(dev::Arena::instance());
-    auto out = decompress_bitcomp_typed<float>(bytes, ws);
+    auto out = decode_full<float>(bytes, /*wrapped=*/true, ws);
     if (decode_seconds) *decode_seconds = total.lap();
     return out;
   }
 
   [[nodiscard]] std::vector<float> decompress_stages(
       std::span<const std::byte> bytes, DecodeTimings& t) override {
-    return decompress_typed<float>(bytes, &t);
+    return decode_full_local<float>(bytes, &t);
   }
 
   [[nodiscard]] std::vector<float> decompress_bitcomp_stages(
       std::span<const std::byte> bytes, DecodeTimings& t) override {
     dev::Workspace ws(dev::Arena::instance());
-    return decompress_bitcomp_typed<float>(bytes, ws, &t);
+    return decode_full<float>(bytes, /*wrapped=*/true, ws, &t);
   }
 
   [[nodiscard]] ProgressiveResult decompress_progressive(
@@ -2601,31 +2398,24 @@ class Cuszi final : public Compressor {
                                          const RoiBox& box) override {
     return cuszi_decompress_roi_f32(bytes, box);
   }
-
- private:
-  bool topk_;
 };
 
 }  // namespace
 
-std::unique_ptr<Compressor> make_cuszi(bool use_topk_histogram) {
-  return std::make_unique<Cuszi>(use_topk_histogram);
-}
+std::unique_ptr<Compressor> make_cuszi() { return std::make_unique<Cuszi>(); }
 
 std::vector<std::byte> cuszi_compress(std::span<const float> data,
                                       const dev::Dim3& dims,
                                       const CompressParams& params,
                                       StageTimings* timings) {
-  return compress_typed<float>(data, dims, params, timings, /*fused=*/true,
-                               /*topk=*/true);
+  return compress_typed<float>(data, dims, params, timings, /*fused=*/true);
 }
 
 std::vector<std::byte> cuszi_compress(std::span<const double> data,
                                       const dev::Dim3& dims,
                                       const CompressParams& params,
                                       StageTimings* timings) {
-  return compress_typed<double>(data, dims, params, timings, /*fused=*/true,
-                                /*topk=*/true);
+  return compress_typed<double>(data, dims, params, timings, /*fused=*/true);
 }
 
 std::vector<std::byte> cuszi_compress(std::span<const float> data,
@@ -2634,7 +2424,7 @@ std::vector<std::byte> cuszi_compress(std::span<const float> data,
                                       StageTimings* timings,
                                       dev::Workspace& ws) {
   return compress_typed<float>(data, dims, params, timings, /*fused=*/true,
-                               /*topk=*/true, ws);
+                               ws);
 }
 
 std::vector<std::byte> cuszi_compress(std::span<const double> data,
@@ -2643,25 +2433,21 @@ std::vector<std::byte> cuszi_compress(std::span<const double> data,
                                       StageTimings* timings,
                                       dev::Workspace& ws) {
   return compress_typed<double>(data, dims, params, timings, /*fused=*/true,
-                                /*topk=*/true, ws);
+                                ws);
 }
 
 std::vector<std::byte> cuszi_compress_unfused(std::span<const float> data,
                                               const dev::Dim3& dims,
                                               const CompressParams& params,
-                                              StageTimings* timings,
-                                              bool use_topk_histogram) {
-  return compress_typed<float>(data, dims, params, timings, /*fused=*/false,
-                               use_topk_histogram);
+                                              StageTimings* timings) {
+  return compress_typed<float>(data, dims, params, timings, /*fused=*/false);
 }
 
 std::vector<std::byte> cuszi_compress_unfused(std::span<const double> data,
                                               const dev::Dim3& dims,
                                               const CompressParams& params,
-                                              StageTimings* timings,
-                                              bool use_topk_histogram) {
-  return compress_typed<double>(data, dims, params, timings, /*fused=*/false,
-                                use_topk_histogram);
+                                              StageTimings* timings) {
+  return compress_typed<double>(data, dims, params, timings, /*fused=*/false);
 }
 
 std::vector<std::byte> cuszi_compress_bitcomp(std::span<const float> data,
@@ -2709,7 +2495,7 @@ Precision cuszi_archive_precision(std::span<const std::byte> bytes) {
 std::vector<SegmentInfo> cuszi_archive_segments(
     std::span<const std::byte> bytes) {
   const std::uint32_t magic = peek_magic(bytes);
-  if (magic == kBitcompWrapMagic || magic == kBitcompWrapMagicV2) {
+  if (is_wrapper_magic(magic)) {
     const auto inner = bitcomp_unwrap_archive(bytes);
     return cuszi_archive_segments(inner);
   }
@@ -2735,20 +2521,6 @@ std::vector<std::byte> cuszi_compress_v1(std::span<const double> data,
   dev::Arena local;
   dev::Workspace ws(local);
   return compress_v1_typed<double>(data, dims, params, timings, ws);
-}
-
-std::vector<std::byte> cuszi_compress_unified_book(
-    std::span<const float> data, const dev::Dim3& dims,
-    const CompressParams& params, StageTimings* timings) {
-  return compress_typed<float>(data, dims, params, timings, /*fused=*/true,
-                               /*topk=*/true, /*unified=*/true);
-}
-
-std::vector<std::byte> cuszi_compress_unified_book(
-    std::span<const double> data, const dev::Dim3& dims,
-    const CompressParams& params, StageTimings* timings) {
-  return compress_typed<double>(data, dims, params, timings, /*fused=*/true,
-                                /*topk=*/true, /*unified=*/true);
 }
 
 ProgressiveResultT<float> cuszi_decompress_progressive_f32(
@@ -2799,34 +2571,34 @@ ProgressiveResultT<double> cuszi_decompress_progressive_f64(
 
 std::vector<float> cuszi_decompress_f32(std::span<const std::byte> bytes,
                                         DecodeTimings* timings) {
-  return decompress_typed<float>(bytes, timings);
+  return decode_full_local<float>(bytes, timings);
 }
 
 std::vector<double> cuszi_decompress_f64(std::span<const std::byte> bytes,
                                          DecodeTimings* timings) {
-  return decompress_typed<double>(bytes, timings);
+  return decode_full_local<double>(bytes, timings);
 }
 
 std::vector<float> cuszi_decompress_f32(std::span<const std::byte> bytes,
                                         dev::Workspace& ws) {
-  return decompress_typed<float>(bytes, ws);
+  return decode_full<float>(bytes, /*wrapped=*/false, ws);
 }
 
 std::vector<double> cuszi_decompress_f64(std::span<const std::byte> bytes,
                                          dev::Workspace& ws) {
-  return decompress_typed<double>(bytes, ws);
+  return decode_full<double>(bytes, /*wrapped=*/false, ws);
 }
 
 std::vector<float> cuszi_decompress_bitcomp_f32(
     std::span<const std::byte> bytes, dev::Workspace& ws,
     DecodeTimings* timings) {
-  return decompress_bitcomp_typed<float>(bytes, ws, timings);
+  return decode_full<float>(bytes, /*wrapped=*/true, ws, timings);
 }
 
 std::vector<double> cuszi_decompress_bitcomp_f64(
     std::span<const std::byte> bytes, dev::Workspace& ws,
     DecodeTimings* timings) {
-  return decompress_bitcomp_typed<double>(bytes, ws, timings);
+  return decode_full<double>(bytes, /*wrapped=*/true, ws, timings);
 }
 
 }  // namespace szi

@@ -36,10 +36,8 @@ class ArchiveSource;
 namespace szi {
 
 /// Factory for the cuSZ-i compressor (f32 fields through the common
-/// Compressor interface). `use_topk_histogram` toggles the §VI-A histogram
-/// optimization (the ablation bench flips it).
-[[nodiscard]] std::unique_ptr<Compressor> make_cuszi(
-    bool use_topk_histogram = true);
+/// Compressor interface).
+[[nodiscard]] std::unique_ptr<Compressor> make_cuszi();
 
 /// Typed free-function API — the paper's datasets are f32, but SDRBench
 /// also ships f64 fields (QMCPack, some Nyx runs); both precisions share
@@ -65,17 +63,13 @@ namespace szi {
 /// Reference (unfused) pipeline: separate predict, histogram, and encode
 /// passes, mirroring the pre-fusion stage structure the same way
 /// predictor/reference.cc mirrors the optimized kernels. Archive bytes are
-/// identical to cuszi_compress() (tests/test_fused_equiv.cc asserts this);
-/// `use_topk_histogram` selects the §VI-A hot-band histogram (meaningful
-/// only here — the fused pipeline counts inside the predict kernel).
+/// identical to cuszi_compress() (tests/test_fused_equiv.cc asserts this).
 [[nodiscard]] std::vector<std::byte> cuszi_compress_unfused(
     std::span<const float> data, const dev::Dim3& dims,
-    const CompressParams& params, StageTimings* timings = nullptr,
-    bool use_topk_histogram = true);
+    const CompressParams& params, StageTimings* timings = nullptr);
 [[nodiscard]] std::vector<std::byte> cuszi_compress_unfused(
     std::span<const double> data, const dev::Dim3& dims,
-    const CompressParams& params, StageTimings* timings = nullptr,
-    bool use_topk_histogram = true);
+    const CompressParams& params, StageTimings* timings = nullptr);
 
 /// Legacy 'SZI1' single-stream writer, retained verbatim so back-compat
 /// tests can mint v1 archives against the version-dispatched decoders.
@@ -84,17 +78,6 @@ namespace szi {
     std::span<const float> data, const dev::Dim3& dims,
     const CompressParams& params, StageTimings* timings = nullptr);
 [[nodiscard]] std::vector<std::byte> cuszi_compress_v1(
-    std::span<const double> data, const dev::Dim3& dims,
-    const CompressParams& params, StageTimings* timings = nullptr);
-
-/// SZI2 with one unified codebook shared by every level segment instead of
-/// a per-level book (the bench's per-level-vs-unified ratio ablation). The
-/// framing is unchanged — each segment still carries the book it decodes
-/// with — so the archive decodes through the normal entry points.
-[[nodiscard]] std::vector<std::byte> cuszi_compress_unified_book(
-    std::span<const float> data, const dev::Dim3& dims,
-    const CompressParams& params, StageTimings* timings = nullptr);
-[[nodiscard]] std::vector<std::byte> cuszi_compress_unified_book(
     std::span<const double> data, const dev::Dim3& dims,
     const CompressParams& params, StageTimings* timings = nullptr);
 
@@ -235,10 +218,10 @@ struct SegmentInfo {
 [[nodiscard]] std::vector<double> cuszi_decompress_f64(
     std::span<const std::byte> bytes, dev::Workspace& ws);
 
-/// Pipelined decompress of a bitcomp-wrapped ('BBCP') cuSZ-i archive: LZSS
-/// blocks decode on a dev::Stream while the host thread parses the inner
-/// archive and Huffman-decodes chunk groups as their payload bytes land.
-/// Output is bit-identical to
+/// Decompress of a bitcomp-wrapped ('BBCP'/'BBC2') cuSZ-i archive through
+/// the same engine as the raw overloads: LZSS blocks decode on a dev::Stream
+/// while the host thread parses the inner archive and Huffman-decodes chunk
+/// groups as their payload bytes land. Output is bit-identical to
 /// cuszi_decompress_*(bitcomp_unwrap_archive(bytes)); malformed input
 /// throws core::CorruptArchive exactly like the unfused path.
 [[nodiscard]] std::vector<float> cuszi_decompress_bitcomp_f32(

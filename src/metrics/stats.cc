@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -38,8 +39,15 @@ Distortion distortion_impl(std::span<const T> original,
         Acc a;
         a.lo = a.hi = original[begin];
         for (std::size_t i = begin; i < end; ++i) {
-          const double e = static_cast<double>(original[i]) -
-                           static_cast<double>(reconstructed[i]);
+          double e = static_cast<double>(original[i]) -
+                     static_cast<double>(reconstructed[i]);
+          // A non-finite difference is exact only for a bit-identical pair
+          // (+Inf/+Inf, the same NaN); any other pair with a non-finite
+          // side is an unbounded error — which std::max would drop as NaN.
+          if (!std::isfinite(e))
+            e = std::memcmp(&original[i], &reconstructed[i], sizeof(T)) == 0
+                    ? 0.0
+                    : std::numeric_limits<double>::infinity();
           a.sum_sq += e * e;
           a.max_abs = std::max(a.max_abs, std::abs(e));
           a.lo = std::min(a.lo, static_cast<double>(original[i]));

@@ -77,13 +77,6 @@ TEST(Cuszi, TimingsArePopulated) {
   EXPECT_GT(dec_s, 0.0);
 }
 
-TEST(Cuszi, TopkAndBaselineHistogramsAgreeByteForByte) {
-  const auto f = small_field("jhtdb");
-  auto a = szi::make_cuszi(true)->compress(f, {ErrorMode::Rel, 1e-3});
-  auto b = szi::make_cuszi(false)->compress(f, {ErrorMode::Rel, 1e-3});
-  EXPECT_EQ(a.bytes, b.bytes);
-}
-
 TEST(CusziBitcomp, WrapperRoundTripsAndShrinks) {
   auto plain = szi::make_cuszi();
   auto wrapped = szi::with_bitcomp(szi::make_cuszi());

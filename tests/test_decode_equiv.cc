@@ -4,11 +4,14 @@
 // GInterpReconstructorT) — must be bit-identical to the retained references:
 // the single-symbol-per-probe chunk decoder (decode_chunks_reference) and the
 // staged ginterp_decompress that reconstructs through a separate scatter
-// buffer. Mirrors tests/test_fused_equiv.cc for the compress side.
+// buffer. End to end, the one full-decode engine (raw and wrapped, SZI1 and
+// SZI2) must match a test-side decoder composed only of those references.
+// Mirrors tests/test_fused_equiv.cc for the compress side.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "core/cuszi.hh"
 #include "datagen/datasets.hh"
 #include "device/arena.hh"
+#include "device/thread_pool.hh"
 #include "huffman/huffman.hh"
 #include "lossless/lzss.hh"
 #include "predictor/ginterp.hh"
@@ -29,6 +33,103 @@ using szi::predictor::InterpConfig;
 using szi::quant::Code;
 
 constexpr CompressParams kRel{ErrorMode::Rel, 1e-3};
+
+/// Single-symbol reference decode of one framed Huffman stream.
+std::vector<Code> reference_stream(std::span<const std::byte> stream) {
+  szi::dev::Arena arena;
+  szi::dev::Workspace ws(arena);
+  const auto plan = szi::huffman::decode_plan(stream, ws);
+  std::vector<Code> syms(plan.n);
+  szi::huffman::decode_chunks_reference(plan, 0, plan.nchunks, syms);
+  return syms;
+}
+
+/// Independent end-to-end oracle for raw cuSZ-i archives, composed only of
+/// the retained references: decode_chunks_reference per Huffman stream (one
+/// per SZI2 level segment, scattered through LevelScatterCursor; the single
+/// SZI1 stream is the code array), then the staged ginterp_decompress.
+template <typename T>
+std::vector<T> reference_decode(std::span<const std::byte> archive) {
+  // Fixed header: magic | precision | dims | eb | alpha | cubic[3] |
+  // order[3] | radius.
+  szi::core::ByteReader rd(archive, "reference");
+  const auto magic = rd.read<std::uint32_t>();
+  (void)rd.read<std::uint8_t>();
+  Dim3 dims;
+  dims.x = rd.read<std::uint64_t>();
+  dims.y = rd.read<std::uint64_t>();
+  dims.z = rd.read<std::uint64_t>();
+  const double eb = rd.read<double>();
+  InterpConfig cfg;
+  cfg.alpha = rd.read<double>();
+  for (auto& c : cfg.cubic)
+    c = static_cast<szi::predictor::CubicKind>(rd.read<std::uint8_t>());
+  for (auto& o : cfg.dim_order) o = rd.read<std::uint8_t>();
+  const int radius = rd.read<std::uint16_t>();
+
+  const auto read_outliers = [](szi::core::ByteReader& r) {
+    szi::quant::OutlierSetT<T> o;
+    const auto n = static_cast<std::size_t>(r.read<std::uint64_t>());
+    o.indices = r.read_array<std::uint64_t>(n);
+    o.values = r.read_array<T>(n);
+    return o;
+  };
+  std::vector<T> anchors;
+  szi::quant::OutlierSetT<T> outliers;
+  std::vector<Code> codes;
+  if (magic == 0x32495A53) {  // 'SZI2'
+    const auto segs = szi::cuszi_archive_segments(archive);
+    const auto seg_bytes = [&](const szi::SegmentInfo& s) {
+      return archive.subspan(static_cast<std::size_t>(s.offset),
+                             static_cast<std::size_t>(s.size));
+    };
+    szi::core::ByteReader ar(seg_bytes(segs[0]), "reference");
+    anchors = ar.read_array<T>(static_cast<std::size_t>(segs[0].count));
+    szi::core::ByteReader orr(seg_bytes(segs[1]), "reference");
+    outliers = read_outliers(orr);
+    codes.assign(dims.volume(), static_cast<Code>(radius));
+    for (const auto& s : segs) {
+      if (s.kind != 2) continue;
+      const auto syms = reference_stream(seg_bytes(s));
+      szi::predictor::LevelScatterCursor cur(dims, s.level);
+      cur.advance(syms, syms.size(), codes);
+    }
+  } else {  // 'SZI1': u64-counted anchors, outlier blob, one Huffman blob
+    anchors = rd.read_array<T>(
+        static_cast<std::size_t>(rd.read<std::uint64_t>()));
+    szi::core::ByteReader orr(rd.read_length_prefixed(), "reference");
+    outliers = read_outliers(orr);
+    codes = reference_stream(rd.read_length_prefixed());
+  }
+  return szi::predictor::ginterp_decompress(codes, std::span<const T>(anchors),
+                                            outliers, dims, eb, cfg, radius);
+}
+
+template <typename T>
+void expect_bits_equal(const std::vector<T>& got, const std::vector<T>& want,
+                       const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(T)))
+      << what;
+}
+
+/// Raw and wrapped engine decodes of `inner` against the oracle.
+template <typename T>
+void expect_engine_matches_reference(std::span<const std::byte> inner) {
+  const auto want = reference_decode<T>(inner);
+  const auto wrapped = szi::bitcomp_wrap_archive(inner);
+  szi::dev::Arena arena;
+  szi::dev::Workspace ws(arena);
+  if constexpr (sizeof(T) == 4) {
+    expect_bits_equal(szi::cuszi_decompress_f32(inner), want, "raw");
+    expect_bits_equal(szi::cuszi_decompress_bitcomp_f32(wrapped, ws), want,
+                      "wrapped");
+  } else {
+    expect_bits_equal(szi::cuszi_decompress_f64(inner), want, "raw");
+    expect_bits_equal(szi::cuszi_decompress_bitcomp_f64(wrapped, ws), want,
+                      "wrapped");
+  }
+}
 
 /// Both chunk decoders over one encoded stream; returns the packed result
 /// after asserting it equals the reference symbol-for-symbol.
@@ -90,13 +191,11 @@ TEST(DecodeEquiv, AllDatasetsByteIdentical) {
           enc.codes, 2 * szi::quant::kDefaultRadius, szi::huffman::kDefaultChunk);
       EXPECT_EQ(decoded, enc.codes) << name << "/" << f.name;
 
-      // End to end: the overhauled wrapped decode must reproduce the plain
-      // (reference-pipeline) decode bit for bit.
-      const auto inner = szi::cuszi_compress(d, f.dims, kRel);
-      const auto wrapped = szi::bitcomp_wrap_archive(inner);
-      ASSERT_EQ(szi::cuszi_decompress_bitcomp_f32(wrapped, ws),
-                szi::cuszi_decompress_f32(inner))
-          << name << "/" << f.name;
+      // End to end: raw and wrapped engine decodes must reproduce the
+      // reference composition bit for bit.
+      SCOPED_TRACE(name + "/" + f.name);
+      expect_engine_matches_reference<float>(
+          szi::cuszi_compress(d, f.dims, kRel));
     }
   }
 }
@@ -154,7 +253,7 @@ TEST(DecodeEquiv, BothLzssModes) {
       szi::datagen::make_dataset("nyx", szi::datagen::Size::Small).front();
   const std::span<const float> d(f.data);
   const auto inner = szi::cuszi_compress(d, f.dims, kRel);
-  const auto ref = szi::cuszi_decompress_f32(inner);
+  const auto ref = reference_decode<float>(inner);
   szi::dev::Arena arena;
   szi::dev::Workspace ws(arena);
   for (const auto mode :
@@ -165,6 +264,46 @@ TEST(DecodeEquiv, BothLzssModes) {
         szi::lossless::lzss_compress(inner, szi::lossless::kLzssBlock, mode));
     ASSERT_EQ(szi::cuszi_decompress_bitcomp_f32(w.take(), ws), ref);
   }
+}
+
+// Fields whose bulk stream spans many chunk groups, so slabs reconstruct on
+// the stream fleet while later groups still decode — SZI2 and legacy SZI1,
+// both precisions, against the reference composition.
+TEST(DecodeEquiv, PipelinedSlabsMatchReference) {
+  const Dim3 dims{96, 80, 72};
+  std::vector<double> v64(dims.volume());
+  std::uint64_t s = 0x2545f4914f6cdd1dull;
+  for (std::size_t i = 0; i < v64.size(); ++i) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    // Smooth trend plus white noise: the noise keeps the level-1 payload
+    // well past one 256 KiB chunk group at this bound.
+    v64[i] = std::sin(0.01 * static_cast<double>(i)) +
+             1e-2 * static_cast<double>(s >> 40) / static_cast<double>(1 << 24);
+  }
+  std::vector<float> v32(v64.begin(), v64.end());
+  const CompressParams abs{ErrorMode::Abs, 1e-5};
+  const auto inner =
+      szi::cuszi_compress(std::span<const float>(v32), dims, abs);
+  ASSERT_GT(inner.size(), std::size_t{4} << 18);
+  expect_engine_matches_reference<float>(inner);
+  // The engine builds its reconstruction fleet only for a multi-group
+  // stream, and only when there are workers to run it.
+  szi::DecodeTimings t;
+  (void)szi::cuszi_decompress_f32(inner, &t);
+  EXPECT_EQ(t.overlapped,
+            szi::dev::ThreadPool::instance().worker_count() > 1);
+  const auto small =
+      szi::datagen::make_dataset("nyx", szi::datagen::Size::Small).front();
+  (void)szi::cuszi_decompress_f32(
+      szi::cuszi_compress(std::span<const float>(small.data), small.dims, kRel),
+      &t);
+  EXPECT_FALSE(t.overlapped);
+  expect_engine_matches_reference<float>(
+      szi::cuszi_compress_v1(std::span<const float>(v32), dims, abs));
+  expect_engine_matches_reference<double>(
+      szi::cuszi_compress(std::span<const double>(v64), dims, abs));
+  expect_engine_matches_reference<double>(
+      szi::cuszi_compress_v1(std::span<const double>(v64), dims, abs));
 }
 
 // A chunk table that lies about its extent must surface CorruptArchive from

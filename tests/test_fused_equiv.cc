@@ -61,19 +61,16 @@ TEST(FusedEquiv, AllDatasetsByteIdentical) {
   }
 }
 
-// The histogram source must not matter: full counts in the fused kernel,
-// full counts in the unfused pass, and the top-k hot-band histogram all
-// yield the same totals, hence the same codebook and the same bytes.
+// The histogram source must not matter: full counts in the fused kernel
+// and full counts in the unfused pass yield the same totals, hence the same
+// codebook and the same bytes.
 TEST(FusedEquiv, TopkHistogramAgrees) {
   const auto f =
       szi::datagen::make_dataset("miranda", szi::datagen::Size::Small)
           .front();
   const std::span<const float> d(f.data);
   const auto fused = szi::cuszi_compress(d, f.dims, kRel);
-  ASSERT_EQ(fused, szi::cuszi_compress_unfused(d, f.dims, kRel, nullptr,
-                                               /*use_topk_histogram=*/true));
-  ASSERT_EQ(fused, szi::cuszi_compress_unfused(d, f.dims, kRel, nullptr,
-                                               /*use_topk_histogram=*/false));
+  ASSERT_EQ(fused, szi::cuszi_compress_unfused(d, f.dims, kRel));
 }
 
 // Odd, even, and degenerate extents in both precisions: the fused kernels

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "metrics/stats.hh"
@@ -33,6 +34,35 @@ TEST(Metrics, PerfectReconstructionIsInfinitePsnr) {
   const auto d = distortion(v, v);
   EXPECT_TRUE(std::isinf(d.psnr));
   EXPECT_EQ(d.max_err, 0.0);
+}
+
+TEST(Metrics, NonFiniteMismatchIsInfiniteMaxErr) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> orig{1.0f, inf, 3.0f};
+  for (const float bad : {nan, -inf, 2.0f}) {
+    const std::vector<float> recon{1.0f, bad, 3.0f};
+    EXPECT_EQ(distortion(orig, recon).max_err, inf) << bad;
+  }
+  // A NaN original reconstructed as a finite value is no better.
+  const std::vector<double> o64{0.0, std::nan("")};
+  const std::vector<double> r64{0.0, 5.0};
+  EXPECT_TRUE(std::isinf(distortion(o64, r64).max_err));
+}
+
+TEST(Metrics, BitIdenticalNonFinitePairsContributeZero) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> v{1.0f, inf, -inf, nan, 3.0f};
+  const auto same = distortion(v, v);
+  EXPECT_EQ(same.max_err, 0.0);
+  EXPECT_EQ(same.mse, 0.0);
+  // Finite errors next to an exact +Inf/+Inf pair still count.
+  const std::vector<float> orig{0.0f, inf};
+  const std::vector<float> recon{0.5f, inf};
+  const auto d = distortion(orig, recon);
+  EXPECT_EQ(d.max_err, 0.5);
+  EXPECT_EQ(d.mse, 0.125);
 }
 
 TEST(Metrics, DistortionRejectsSizeMismatch) {

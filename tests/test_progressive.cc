@@ -293,31 +293,6 @@ TEST(Progressive, LegacyV1ArchivesStillDecode) {
                            sub2.size() * sizeof(float)));
 }
 
-/// The unified-codebook ablation writer emits valid SZI2: same decoded
-/// field bit-for-bit (codes are identical; only the books differ), same
-/// directory shape, progressive decode included.
-TEST(Progressive, UnifiedBookArchiveRoundTrips) {
-  const auto fields =
-      szi::datagen::make_dataset("miranda", szi::datagen::Size::Small);
-  const auto& f = fields.front();
-  const CompressParams p{ErrorMode::Rel, 1e-3};
-  const auto per_level =
-      szi::cuszi_compress(std::span<const float>(f.data), f.dims, p);
-  const auto unified = szi::cuszi_compress_unified_book(
-      std::span<const float>(f.data), f.dims, p);
-  const auto a = szi::cuszi_decompress_f32(per_level);
-  const auto b = szi::cuszi_decompress_f32(unified);
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)));
-  EXPECT_EQ(szi::cuszi_archive_segments(per_level).size(),
-            szi::cuszi_archive_segments(unified).size());
-  const auto r = szi::cuszi_decompress_progressive_f32(unified, 2);
-  const auto sub =
-      szi::predictor::ginterp_subsample(std::span<const float>(a), f.dims, 2);
-  EXPECT_EQ(0,
-            std::memcmp(r.data.data(), sub.data(), sub.size() * sizeof(float)));
-}
-
 /// f64 archives go through the same segmented layout and progressive path.
 TEST(Progressive, F64PreviewAndBackCompat) {
   const Dim3 dims{48, 40, 24};

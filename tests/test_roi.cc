@@ -8,9 +8,11 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <thread>
 #include <vector>
 
 #include "core/bytes.hh"
@@ -302,6 +304,45 @@ TEST(Roi, ManySlabBoxMatchesSingleSlabUnion) {
                      rs.data.size() * sizeof(float)))
         << "slab at z=" << z0;
   }
+}
+
+/// `bytes_read` counts what one call fetched, not what the shared source
+/// served meanwhile: four readers of one mmap'd archive, raw and wrapped,
+/// each report exactly the single-reader figure on every read.
+TEST(Roi, ConcurrentReadersReportTheirOwnBytes) {
+  const auto fields =
+      szi::datagen::make_dataset("nyx", szi::datagen::Size::Small);
+  const auto& f = fields.front();
+  const auto raw = szi::cuszi_compress(std::span<const float>(f.data), f.dims,
+                                       {ErrorMode::Rel, 1e-3});
+  const fs::path dir = fs::temp_directory_path() /
+                       ("szi_roi_conc_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const RoiBox box{{30, 40, 50}, {20, 24, 28}};
+  for (const auto& bytes : {raw, szi::bitcomp_wrap_archive(raw)}) {
+    const auto path = (dir / "a.szi").string();
+    szi::io::write_bytes(path, bytes);
+    szi::io::MmapSource src(path);
+    const auto solo = szi::cuszi_decompress_roi_f32(src, box);
+    EXPECT_TRUE(solo.indexed);
+    constexpr int kReaders = 4;
+    constexpr int kReads = 8;
+    std::vector<std::vector<std::size_t>> got(kReaders);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t)
+      readers.emplace_back([&, t] {
+        ++ready;
+        while (ready.load() < kReaders) std::this_thread::yield();
+        for (int i = 0; i < kReads; ++i)
+          got[static_cast<std::size_t>(t)].push_back(
+              szi::cuszi_decompress_roi_f32(src, box).bytes_read);
+      });
+    for (auto& th : readers) th.join();
+    for (const auto& g : got)
+      for (const auto b : g) EXPECT_EQ(b, solo.bytes_read);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
