@@ -889,35 +889,71 @@ struct V2Prefix {
   std::size_t next = 2;
 };
 
+/// An SZI2 archive's fixed header plus its u32 segment count.
+constexpr std::size_t kV2HeadBytes = kInnerFixedBytes + sizeof(std::uint32_t);
+
+/// Bytes of an SZI2 archive's fixed header, segment count and directory,
+/// known from its first kV2HeadBytes bytes (`head`; all of a shorter
+/// archive). The directory's size follows from the segment count, so it is
+/// peeked and clamped to the largest legal value: a hostile count cannot
+/// force a large read, and a wrong count fails at the directory parse
+/// before any entry is read. Header faults throw here.
+template <typename T>
+std::size_t v2_directory_end(std::span<const std::byte> head) {
+  core::ByteReader rd(head, "cusz-i");
+  const InnerHeader h = parse_inner_header<T>(rd, kMagicV2);
+  std::uint32_t nseg = 0;
+  if (head.size() >= rd.offset() + sizeof(nseg))
+    std::memcpy(&nseg, head.data() + rd.offset(), sizeof(nseg));
+  const auto nseg_max =
+      static_cast<std::uint32_t>(predictor::ginterp_level_count(h.dims)) + 3;
+  return v2_header_bytes(std::min(nseg, nseg_max));
+}
+
+/// Returns up to `len` leading bytes of a stream, making them final first.
+using PeekFn = dev::FunctionRef<std::span<const std::byte>(std::size_t)>;
+
+/// Byte extent of a Huffman stream's header (u32 nbins | lengths | u64 n |
+/// u32 chunk | u64 payload | u64 offsets[nchunks]) — everything
+/// decode_plan reads, peeked in two steps through `peek`. The chunk count
+/// is clamped to `cap`, so a hostile header cannot demand an unbounded
+/// fetch; decode_plan then reports the fault.
+std::uint64_t huffman_header_extent(PeekFn peek, std::uint64_t cap) {
+  std::uint32_t nbins = 0;
+  if (const auto v = peek(sizeof(nbins)); v.size() >= sizeof(nbins))
+    std::memcpy(&nbins, v.data(), sizeof(nbins));
+  const std::size_t hfixed = sizeof(std::uint32_t) + nbins +
+                             sizeof(std::uint64_t) + sizeof(std::uint32_t) +
+                             sizeof(std::uint64_t);
+  std::uint64_t nsym = 0;
+  std::uint32_t csz = 0;
+  if (const auto v = peek(hfixed); v.size() >= hfixed) {
+    std::memcpy(&nsym, v.data() + sizeof(std::uint32_t) + nbins, sizeof(nsym));
+    std::memcpy(&csz, v.data() + sizeof(std::uint32_t) + nbins + sizeof(nsym),
+                sizeof(csz));
+  }
+  const std::uint64_t nchunks =
+      csz == 0 ? 0 : nsym / csz + (nsym % csz != 0 ? 1 : 0);
+  return hfixed + std::min(nchunks, cap) * sizeof(std::uint64_t);
+}
+
 /// Header → directory → anchors → outliers → levels >= max_level of an
 /// SZI2 inner archive, each piece read once `ensure` has made its bytes
-/// final. The full-decode engine reads levels >= 2 here and pipelines
-/// level 1 itself; the progressive readers stop at their preview level.
+/// final (the directory exactly, before its parse, so every entry read
+/// stays below the watermark). The full-decode engine reads levels >= 2
+/// here and pipelines level 1 itself; the progressive readers stop at
+/// their preview level.
 template <typename T>
 V2Prefix<T> read_v2_prefix(std::span<const std::byte> bytes, EnsureFn ensure,
                            int max_level, dev::Workspace& ws, double& huff_s) {
   const std::size_t size = bytes.size();
   V2Prefix<T> p(bytes);
   auto& rd = p.rd;
-  ensure(kInnerFixedBytes + sizeof(std::uint32_t));
+  ensure(kV2HeadBytes);
+  ensure(v2_directory_end<T>(bytes.first(std::min(size, kV2HeadBytes))));
   p.h = parse_inner_header<T>(rd, kMagicV2);
-  // The directory's size follows from the segment count, so peek it
-  // (clamped to the largest legal value — a hostile count cannot force a
-  // full decode) and ensure the exact directory before the parse: every
-  // entry read stays below the watermark, and a wrong segment count fails
-  // before any entry is read.
-  const int nlevels = predictor::ginterp_level_count(p.h.dims);
-  ensure(sat_add(rd.offset(), sizeof(std::uint32_t), size));
-  std::uint32_t nseg_peek = 0;
-  if (size >= rd.offset() + sizeof(nseg_peek))
-    std::memcpy(&nseg_peek, bytes.data() + rd.offset(), sizeof(nseg_peek));
-  const auto nseg_max = static_cast<std::uint32_t>(nlevels) + 3;
-  ensure(sat_add(rd.offset(),
-                 sizeof(std::uint32_t) +
-                     static_cast<std::uint64_t>(std::min(nseg_peek, nseg_max)) *
-                         sizeof(SegmentEntry),
-                 size));
   p.segs = parse_v2_directory<T>(rd, p.h);
+  const int nlevels = predictor::ginterp_level_count(p.h.dims);
   p.level = std::clamp(max_level, 1, nlevels + 1);
   const auto& segs = p.segs;
 
@@ -1130,6 +1166,90 @@ class DecodeFeed {
   std::optional<dev::Stream> lz_;  ///< last member: drains before units die
 };
 
+/// The slab schedule every decode shares — full, preview and ROI. A slab
+/// whose code prefix is complete before the last chunk group (run_ready)
+/// starts at once: on a per-worker dev::Stream fleet built on the first
+/// such slab — only then is there decode left to overlap, so a decode
+/// whose codes are all in place (a single-group stream, a preview, an ROI)
+/// never spawns the fleet's threads — or inline on a serial machine, while
+/// its codes are cache-hot. finish() runs every slab still pending — when
+/// no fleet exists, as one pool launch if they fill the pool, else one
+/// after another with parallel tile waves — and drains the fleet; the
+/// first failure wins.
+template <typename T>
+class SlabSchedule {
+ public:
+  explicit SlabSchedule(predictor::GInterpReconstructorT<T>& recon)
+      : recon_(recon), nslabs_(recon.slab_count()) {}
+
+  SlabSchedule(const SlabSchedule&) = delete;
+  SlabSchedule& operator=(const SlabSchedule&) = delete;
+
+  void run_ready(std::size_t code_watermark) {
+    while (next_ < nslabs_ && recon_.codes_needed(next_) <= code_watermark) {
+      const std::size_t k = next_++;
+      if (!stream_overlap_pays()) {
+        run_timed(k);
+        continue;
+      }
+      if (fleet_.empty()) {
+        const std::size_t n = std::min<std::size_t>(
+            dev::ThreadPool::instance().worker_count(), nslabs_);
+        for (std::size_t i = 0; i < n; ++i) fleet_.emplace_back();
+      }
+      fleet_[k % fleet_.size()].submit([this, k] { run_timed(k); });
+    }
+  }
+
+  void finish() {
+    if (!fleet_.empty()) {
+      run_ready(std::numeric_limits<std::size_t>::max());
+    } else if (nslabs_ - next_ <
+               dev::ThreadPool::instance().worker_count()) {
+      // Too few slabs to fill the pool: run them one after another so each
+      // keeps its parallel tile waves (a launch nested in a pool launch
+      // runs serially).
+      while (next_ < nslabs_) run_timed(next_++);
+    } else {
+      const auto t0 = std::chrono::steady_clock::now();
+      const std::size_t first = next_;
+      dev::launch_linear(
+          nslabs_ - first, [&](std::size_t k) { recon_.run_slab(first + k); },
+          1);
+      next_ = nslabs_;
+      ns_ += ns_since(t0);
+    }
+    std::exception_ptr err;
+    for (auto& s : fleet_) {
+      try {
+        s.synchronize();
+      } catch (...) {
+        if (!err) err = std::current_exception();
+      }
+    }
+    if (err) std::rethrow_exception(err);
+  }
+
+  [[nodiscard]] bool overlapped() const { return !fleet_.empty(); }
+  /// Busy time of the slabs run so far (summed across streams).
+  [[nodiscard]] double seconds() const {
+    return static_cast<double>(ns_.load()) * 1e-9;
+  }
+
+ private:
+  void run_timed(std::size_t k) {
+    const auto t0 = std::chrono::steady_clock::now();
+    recon_.run_slab(k);
+    ns_ += ns_since(t0);
+  }
+
+  predictor::GInterpReconstructorT<T>& recon_;
+  std::size_t nslabs_;
+  std::size_t next_ = 0;
+  std::atomic<std::int64_t> ns_{0};
+  std::deque<dev::Stream> fleet_;  ///< last member: drains before the rest
+};
+
 /// The full-decode engine: every full-fidelity decode (raw or wrapped,
 /// SZI1 or SZI2) runs this one body over a DecodeFeed. Anchors, outliers
 /// and the coarse SZI2 levels (>= 2, a sliver of the volume) are read whole
@@ -1142,13 +1262,11 @@ class DecodeFeed {
 /// moment their code prefix lands: streams read only codes below the
 /// watermark, the host writes only above it.
 ///
-/// The reconstruction fleet (one dev::Stream per worker) is built only
-/// when a slab becomes ready before the last chunk group — only then is
-/// there decode left to overlap. Slabs still pending at the end (all of
-/// them for a single-group stream) run as one pool launch, exactly like
-/// ginterp_decompress_into; on a serial machine mid-stream slabs run
-/// inline while their codes are cache-hot. `dims_out` receives the field
-/// geometry for callers that crop or subsample the result.
+/// Slabs run on the shared SlabSchedule: the stream fleet exists only when
+/// a slab becomes ready before the last chunk group, and slabs still
+/// pending at the end (all of them for a single-group stream) run as one
+/// pool launch, exactly like ginterp_decompress_into. `dims_out` receives
+/// the field geometry for callers that crop or subsample the result.
 template <typename T>
 std::vector<T> decode_full(std::span<const std::byte> archive, bool wrapped,
                            dev::Workspace& ws, DecodeTimings* dt = nullptr,
@@ -1158,12 +1276,10 @@ std::vector<T> decode_full(std::span<const std::byte> archive, bool wrapped,
   const auto bytes = feed.bytes();
   const std::size_t size = bytes.size();
   const auto ensure = [&feed](std::size_t off) { feed.ensure(off); };
-  // Per-stage busy time. Reconstruction slabs may run on dev::Streams, so
-  // they accumulate atomically in nanoseconds; Huffman decode always runs
-  // on this thread. Pipeline stalls are deliberately excluded — stages
-  // report work done, `total` the wall clock.
+  // Per-stage busy time (the slab schedule keeps reconstruction's; Huffman
+  // decode always runs on this thread). Pipeline stalls are deliberately
+  // excluded — stages report work done, `total` the wall clock.
   double huff_s = 0;
-  std::atomic<std::int64_t> recon_ns{0};
 
   ensure(sizeof(std::uint32_t));
   const bool v2 = peek_magic(bytes) == kMagicV2;
@@ -1222,33 +1338,16 @@ std::vector<T> decode_full(std::span<const std::byte> archive, bool wrapped,
 
   std::optional<huffman::DecodePlan> plan;
   if (has_stream) {
-    // Huffman header extent (u32 nbins | lengths | u64 n | u32 chunk |
-    // u64 payload | offsets): peek just enough to know how many bytes
-    // decode_plan will touch, wait for them, then build the plan. The plan
-    // never reads payload bytes, so the feed may still be producing them.
-    ensure(sat_add(hoff, sizeof(std::uint32_t), size));
-    std::uint32_t nbins = 0;
-    if (huff.size() >= sizeof(nbins))
-      std::memcpy(&nbins, huff.data(), sizeof(nbins));
-    const std::size_t hfixed = sizeof(std::uint32_t) + nbins +
-                               sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-                               sizeof(std::uint64_t);
-    ensure(sat_add(hoff, hfixed, size));
-    std::uint64_t nsym = 0;
-    std::uint32_t csz = 0;
-    if (huff.size() >= hfixed) {
-      std::memcpy(&nsym, huff.data() + sizeof(std::uint32_t) + nbins,
-                  sizeof(nsym));
-      std::memcpy(&csz,
-                  huff.data() + sizeof(std::uint32_t) + nbins + sizeof(nsym),
-                  sizeof(csz));
-    }
-    const std::uint64_t nchunks64 =
-        csz == 0 ? 0 : nsym / csz + (nsym % csz != 0 ? 1 : 0);
-    ensure(sat_add(hoff,
-                   hfixed + std::min<std::uint64_t>(nchunks64, size) *
-                                sizeof(std::uint64_t),
-                   size));
+    // Wait for exactly the bytes decode_plan will touch, then build the
+    // plan. The plan never reads payload bytes, so the feed may still be
+    // producing them.
+    const std::uint64_t head = huffman_header_extent(
+        [&](std::size_t len) {
+          ensure(sat_add(hoff, len, size));
+          return huff.first(std::min(len, huff.size()));
+        },
+        size);
+    ensure(sat_add(hoff, head, size));
     core::Timer plant;
     plan = huffman::decode_plan(huff, ws);
     huff_s += plant.lap();
@@ -1261,38 +1360,13 @@ std::vector<T> decode_full(std::span<const std::byte> archive, bool wrapped,
   // prefill.
   if (!v2) codes = ws.make<quant::Code>(h.volume);
 
-  // `rcs` is declared after everything its tasks borrow, so unwind order
-  // drains it before those locals die.
+  // `slabs` is declared after everything its streams borrow, so unwind
+  // order drains them before those locals die.
   std::vector<T> out(h.volume);
   predictor::GInterpReconstructorT<T> recon(codes, anchors, outliers, h.dims,
                                             h.eb, h.cfg, h.radius,
                                             std::span<T>(out));
-  const std::size_t nslabs = recon.slab_count();
-  const auto run_slab_timed = [&recon, &recon_ns](std::size_t bz) {
-    const auto t0 = std::chrono::steady_clock::now();
-    recon.run_slab(bz);
-    recon_ns += ns_since(t0);
-  };
-  const bool overlap = stream_overlap_pays();
-  std::deque<dev::Stream> rcs;
-  std::size_t next_slab = 0;
-  const auto reconstruct_upto = [&](std::size_t code_watermark) {
-    while (next_slab < nslabs &&
-           recon.codes_needed(next_slab) <= code_watermark) {
-      const std::size_t bz = next_slab++;
-      if (!overlap) {
-        run_slab_timed(bz);
-        continue;
-      }
-      if (rcs.empty()) {
-        const std::size_t n = std::min<std::size_t>(
-            dev::ThreadPool::instance().worker_count(), nslabs);
-        for (std::size_t i = 0; i < n; ++i) rcs.emplace_back();
-      }
-      rcs[bz % rcs.size()].submit(
-          [&run_slab_timed, bz] { run_slab_timed(bz); });
-    }
-  };
+  SlabSchedule<T> slabs(recon);
 
   if (has_stream) {
     // SZI2 level 1 decodes into its own stream buffer and scatters through
@@ -1321,39 +1395,17 @@ std::vector<T> decode_full(std::span<const std::byte> archive, bool wrapped,
       std::size_t watermark = std::min(cend * plan->chunk_size, plan->n);
       if (scatter) watermark = scatter->advance(syms, watermark, codes);
       huff_s += huft.lap();
-      if (c < plan->nchunks) reconstruct_upto(watermark);
+      if (c < plan->nchunks) slabs.run_ready(watermark);
     }
   }
   feed.drain();
-
-  if (!rcs.empty()) {
-    reconstruct_upto(h.volume);
-  } else {
-    core::Timer recont;
-    const std::size_t first = next_slab;
-    dev::launch_linear(
-        nslabs - first, [&](std::size_t k) { recon.run_slab(first + k); }, 1);
-    recon_ns += static_cast<std::int64_t>(recont.lap() * 1e9);
-  }
-  {
-    // Drain every reconstruction stream before rethrowing so no task still
-    // references the locals; the first failure wins.
-    std::exception_ptr err;
-    for (auto& s : rcs) {
-      try {
-        s.synchronize();
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
-  }
+  slabs.finish();
   ws.reset();
   if (dt) {
     dt->unwrap = feed.unwrap_s();
     dt->huffman = huff_s;
-    dt->reconstruct = static_cast<double>(recon_ns.load()) * 1e-9;
-    dt->overlapped = feed.overlapped() || !rcs.empty();
+    dt->reconstruct = slabs.seconds();
+    dt->overlapped = feed.overlapped() || slabs.overlapped();
     dt->total = wall.lap();
   }
   return out;
@@ -1554,16 +1606,6 @@ class WrappedInnerSource final : public InnerSource {
     s.frame_parsed = true;
   }
 
-  void decode_block(Seg& s, std::size_t b) {
-    const auto [begin, end] = lossless::lzss_block_extent(s.frame, b);
-    const auto bytes = src_.view(s.file_off + begin, end - begin, scratch_);
-    const std::size_t roff = b * s.frame.block_size;
-    const std::size_t rlen = std::min(s.frame.block_size,
-                                      s.frame.raw_size - roff);
-    lossless::lzss_decompress_block_bytes(s.frame, b, bytes,
-                                          {s.data.data() + roff, rlen});
-  }
-
   std::span<const std::byte> fetch(Seg& s, std::size_t rel, std::size_t len) {
     ensure_frame(s);
     if (s.method == lossless::Method::Lzss) {
@@ -1577,7 +1619,7 @@ class WrappedInnerSource final : public InnerSource {
           bs == 0 ? 0 : std::min(s.frame.nblocks, dev::ceil_div(rel + len, bs));
       for (std::size_t b = b0; b < b1; ++b)
         if (!s.have[b]) {
-          decode_block(s, b);
+          decode_block_into(s, b, s.data);
           s.have[b] = 1;
         }
     } else if (!s.whole) {
@@ -1585,8 +1627,8 @@ class WrappedInnerSource final : public InnerSource {
       // untransform once; subsequent ranges are plain memory reads.
       s.data.resize(s.raw_len);
       std::vector<std::byte> tmp(s.frame.raw_size);
-      for (std::size_t b = 0; b < s.frame.nblocks; ++b) decode_block_into(
-          s, b, tmp);
+      for (std::size_t b = 0; b < s.frame.nblocks; ++b)
+        decode_block_into(s, b, tmp);
       lossless::method_untransform(tmp, s.method,
                                    {s.data.data(), s.raw_len});
       s.whole = true;
@@ -1594,6 +1636,8 @@ class WrappedInnerSource final : public InnerSource {
     return {s.data.data() + rel, len};
   }
 
+  /// LZSS-decodes block `b` of `s` into its raw range of `dst` (the
+  /// segment's own buffer, or a transformed segment's scratch).
   void decode_block_into(Seg& s, std::size_t b, std::span<std::byte> dst) {
     const auto [begin, end] = lossless::lzss_block_extent(s.frame, b);
     const auto bytes = src_.view(s.file_off + begin, end - begin, scratch_);
@@ -1671,38 +1715,14 @@ template <typename T>
 bool roi_v2(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
             RoiResultT<T>& r) {
   double huff_s = 0;
-  std::atomic<std::int64_t> recon_ns{0};
-  const auto since = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-
-  // Fixed header, then the exact directory (segment count peeked and
-  // clamped to the largest legal value, as the pipelined decoder does).
-  std::vector<std::byte> hdr;
-  {
-    const auto v = view_pfx(inner, 0, kInnerFixedBytes + sizeof(std::uint32_t));
-    hdr.assign(v.begin(), v.end());
-  }
-  std::uint32_t nseg_peek = 0;
-  if (hdr.size() >= kInnerFixedBytes + sizeof(nseg_peek))
-    std::memcpy(&nseg_peek, hdr.data() + kInnerFixedBytes, sizeof(nseg_peek));
-  int nlevels = 0;
-  {
-    core::ByteReader rd0({hdr.data(), hdr.size()}, "cusz-i");
-    const InnerHeader h0 = parse_inner_header<T>(rd0, kMagicV2);
-    nlevels = predictor::ginterp_level_count(h0.dims);
-  }
-  const auto nseg_max = static_cast<std::uint32_t>(nlevels) + 3;
-  {
-    const auto v =
-        view_pfx(inner, 0, v2_header_bytes(std::min(nseg_peek, nseg_max)));
-    hdr.assign(v.begin(), v.end());
-  }
-  core::ByteReader rd({hdr.data(), hdr.size()}, "cusz-i");
+  // Fixed header, then the exact directory — the same peek-and-clamp as
+  // read_v2_prefix.
+  const auto dir = view_pfx(
+      inner, 0, v2_directory_end<T>(view_pfx(inner, 0, kV2HeadBytes)));
+  core::ByteReader rd(dir, "cusz-i");
   const InnerHeader h = parse_inner_header<T>(rd, kMagicV2);
   const auto segs = parse_v2_directory<T>(rd, h);
+  const int nlevels = predictor::ginterp_level_count(h.dims);
   if (segs.size() != static_cast<std::size_t>(nlevels) + 3)
     return false;  // pre-index SZI2: no TIDX to steer by
 
@@ -1798,32 +1818,9 @@ bool roi_v2(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
     const auto& seg = segs[i];
     const int level = seg.level;
 
-    std::uint32_t nbins = 0;
-    {
-      const auto v = view_pfx(inner, seg.offset, sizeof(nbins));
-      if (v.size() == sizeof(nbins))
-        std::memcpy(&nbins, v.data(), sizeof(nbins));
-    }
-    const std::size_t hfixed = sizeof(std::uint32_t) + nbins +
-                               sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-                               sizeof(std::uint64_t);
-    std::uint64_t nsym = 0;
-    std::uint32_t csz = 0;
-    {
-      const auto v = view_pfx(inner, seg.offset, hfixed);
-      if (v.size() >= hfixed) {
-        std::memcpy(&nsym, v.data() + sizeof(std::uint32_t) + nbins,
-                    sizeof(nsym));
-        std::memcpy(&csz,
-                    v.data() + sizeof(std::uint32_t) + nbins + sizeof(nsym),
-                    sizeof(csz));
-      }
-    }
-    const std::uint64_t nchunks64 =
-        csz == 0 ? 0 : nsym / csz + (nsym % csz != 0 ? 1 : 0);
-    const std::uint64_t head_len =
-        hfixed + std::min<std::uint64_t>(nchunks64, seg.size) *
-                     sizeof(std::uint64_t);
+    const std::uint64_t head_len = huffman_header_extent(
+        [&](std::size_t len) { return view_pfx(inner, seg.offset, len); },
+        seg.size);
     const auto head =
         view_pfx(inner, seg.offset, std::min<std::uint64_t>(head_len, seg.size));
     core::Timer plant;
@@ -1903,39 +1900,12 @@ bool roi_v2(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
     }
   }
 
-  // Box-clipped reconstruction, slabs fanned across worker streams exactly
-  // like the full decoder (slabs are mutually independent).
-  predictor::GInterpRoiReconstructorT<T> recon(codes, plan, h.dims, h.eb,
-                                               h.cfg, h.radius,
-                                               std::span<T>(boxout));
-  const auto run_slab_timed = [&recon, &recon_ns, &since](std::size_t k) {
-    const auto t0 = std::chrono::steady_clock::now();
-    recon.run_slab(k);
-    recon_ns += since(t0);
-  };
-  std::deque<dev::Stream> rcs;
-  if (stream_overlap_pays() && recon.slab_count() > 1) {
-    const std::size_t n = std::min<std::size_t>(
-        dev::ThreadPool::instance().worker_count(), recon.slab_count());
-    for (std::size_t s = 0; s < n; ++s) rcs.emplace_back();
-  }
-  for (std::size_t k = 0; k < recon.slab_count(); ++k) {
-    if (!rcs.empty())
-      rcs[k % rcs.size()].submit([&run_slab_timed, k] { run_slab_timed(k); });
-    else
-      run_slab_timed(k);
-  }
-  {
-    std::exception_ptr err;
-    for (auto& s : rcs) {
-      try {
-        s.synchronize();
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
-  }
+  // Box-clipped reconstruction: every code is in place, so the slab
+  // schedule runs all slabs as one pool launch.
+  predictor::GInterpReconstructorT<T> recon(codes, plan, h.dims, h.eb, h.cfg,
+                                            h.radius, std::span<T>(boxout));
+  SlabSchedule<T> slabs(recon);
+  slabs.finish();
 
   // Crop the requested box out of the box-local buffer (row memcpys; the
   // halo is scratch and dies here).
@@ -1952,8 +1922,7 @@ bool roi_v2(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
   r.dims = box.ext;
   r.indexed = true;
   r.timings.huffman = huff_s;
-  r.timings.reconstruct = static_cast<double>(recon_ns.load()) * 1e-9;
-  r.timings.overlapped = !rcs.empty();
+  r.timings.reconstruct = slabs.seconds();
   ws.reset();
   return true;
 }
@@ -2043,15 +2012,32 @@ ProgressiveResultT<T> progressive_from_full(std::span<const std::byte> bytes,
 }
 
 /// Replays the partial reconstruction of a read SZI2 prefix onto its
-/// preview grid.
+/// preview grid: the whole field at the preview level, through the same
+/// reconstructor and slab schedule as every decode, then the stride
+/// subsample. Passes at stride s touch only stride-s grid positions, so the
+/// preview is bit-identical to ginterp_subsample over the full decode.
 template <typename T>
 ProgressiveResultT<T> preview_from_prefix(const V2Prefix<T>& p,
                                           std::size_t bytes_read,
                                           dev::Workspace& ws) {
+  const InnerHeader& h = p.h;
   ProgressiveResultT<T> r;
-  r.data = predictor::ginterp_decompress_to_level(
-      p.codes, p.anchors, p.outliers, p.h.dims, p.h.eb, p.h.cfg, p.h.radius,
-      p.level, ws);
+  if (p.level > predictor::ginterp_level_count(h.dims)) {
+    // Anchors-only preview: the anchor grid IS the coarsest preview grid,
+    // and anchors are stored lossless, so the preview is the anchor array.
+    const auto geo = predictor::geometry_for(h.dims);
+    if (p.anchors.size() != predictor::anchor_dims(h.dims, geo.anchor).volume())
+      throw core::CorruptArchive("ginterp", 0, "anchor count mismatch");
+    r.data.assign(p.anchors.begin(), p.anchors.end());
+  } else {
+    std::vector<T> full(h.volume);
+    predictor::GInterpReconstructorT<T> recon(
+        p.codes, p.anchors, p.outliers, h.dims, h.eb, h.cfg, h.radius,
+        std::span<T>(full), p.level);
+    SlabSchedule<T>(recon).finish();
+    r.data = predictor::ginterp_subsample(std::span<const T>(full), h.dims,
+                                          p.level);
+  }
   r.dims = predictor::ginterp_preview_dims(p.h.dims, p.level);
   r.level = p.level;
   r.bytes_read = bytes_read;

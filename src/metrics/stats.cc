@@ -22,10 +22,14 @@ Distortion distortion_impl(std::span<const T> original,
   Distortion d;
   if (original.empty()) return d;
 
+  // The value range spans finite originals only: an Inf original is either
+  // reproduced exactly (zero error) or an unbounded error, and must not
+  // turn the range, and with it PSNR, infinite.
   struct Acc {
     double sum_sq = 0;
     double max_abs = 0;
-    double lo = 0, hi = 0;
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
   };
   const std::size_t n = original.size();
   const std::size_t chunk = 1 << 16;
@@ -37,7 +41,6 @@ Distortion distortion_impl(std::span<const T> original,
         const std::size_t begin = c * chunk;
         const std::size_t end = std::min(begin + chunk, n);
         Acc a;
-        a.lo = a.hi = original[begin];
         for (std::size_t i = begin; i < end; ++i) {
           double e = static_cast<double>(original[i]) -
                      static_cast<double>(reconstructed[i]);
@@ -50,8 +53,11 @@ Distortion distortion_impl(std::span<const T> original,
                     : std::numeric_limits<double>::infinity();
           a.sum_sq += e * e;
           a.max_abs = std::max(a.max_abs, std::abs(e));
-          a.lo = std::min(a.lo, static_cast<double>(original[i]));
-          a.hi = std::max(a.hi, static_cast<double>(original[i]));
+          const auto o = static_cast<double>(original[i]);
+          if (std::isfinite(o)) {
+            a.lo = std::min(a.lo, o);
+            a.hi = std::max(a.hi, o);
+          }
         }
         partial[c] = a;
       },
@@ -67,11 +73,11 @@ Distortion distortion_impl(std::span<const T> original,
 
   d.mse = t.sum_sq / static_cast<double>(n);
   d.max_err = t.max_abs;
-  d.range = t.hi - t.lo;
+  d.range = t.hi >= t.lo ? t.hi - t.lo : 0;  // 0 without finite originals
   if (d.mse == 0) {
     d.psnr = std::numeric_limits<double>::infinity();
     d.nrmse = 0;
-  } else if (d.range == 0) {
+  } else if (std::isinf(d.mse) || d.range == 0) {
     d.psnr = -std::numeric_limits<double>::infinity();
     d.nrmse = std::numeric_limits<double>::infinity();
   } else {
@@ -101,6 +107,14 @@ bool error_bounded_impl(std::span<const T> original,
         const std::size_t end = std::min(begin + chunk, n);
         for (std::size_t i = begin; i < end; ++i) {
           const double a = original[i], b = reconstructed[i];
+          // Same rule as distortion(): a pair with a non-finite side is in
+          // bound only when bit-identical (+Inf/+Inf, the same NaN).
+          if (!std::isfinite(a) || !std::isfinite(b)) {
+            if (std::memcmp(&original[i], &reconstructed[i], sizeof(T)) == 0)
+              continue;
+            ok[c] = 0;
+            return;
+          }
           const double e = std::abs(a - b);
           const double limit =
               base_limit + kUlps * std::max(std::abs(a), std::abs(b));

@@ -9,11 +9,12 @@ namespace szi::metrics {
 
 /// Summary of the distortion between an original and a reconstruction.
 struct Distortion {
-  double psnr = 0;      ///< 20*log10(range) - 10*log10(mse)
+  double psnr = 0;      ///< 20*log10(range) - 10*log10(mse); -inf when
+                        ///< mse is infinite or range 0, never NaN
   double nrmse = 0;     ///< sqrt(mse)/range
   double max_err = 0;   ///< max |orig - recon|
   double mse = 0;
-  double range = 0;     ///< max(orig) - min(orig)
+  double range = 0;     ///< max - min over the finite originals
 };
 
 /// Computes all distortion metrics in one parallel pass.
@@ -27,10 +28,11 @@ struct Distortion {
 [[nodiscard]] double value_range(std::span<const double> data);
 
 /// True iff every |orig-recon| <= bound*(1+slack) + a few float ulps of the
-/// operand magnitude. The ulp term matches what GPU compressors guarantee:
-/// all reconstruction arithmetic is single-precision, so a value far from
-/// zero can overshoot a tiny absolute bound by half an ulp (cuSZ's
-/// dual-quant scale-back does exactly this).
+/// operand magnitude; a pair with a non-finite side is in bound only when
+/// the two values are bit-identical. The ulp term matches what GPU
+/// compressors guarantee: all reconstruction arithmetic is single-precision,
+/// so a value far from zero can overshoot a tiny absolute bound by half an
+/// ulp (cuSZ's dual-quant scale-back does exactly this).
 [[nodiscard]] bool error_bounded(std::span<const float> original,
                                  std::span<const float> reconstructed,
                                  double bound, double slack = 1e-6);

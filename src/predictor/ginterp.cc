@@ -454,14 +454,29 @@ std::size_t level_rank(const dev::Dim3& dims, const InterpDims& id, int v,
 }
 
 /// The complete per-tile interpolation body (load closed region, run every
-/// (stride, dim) pass, write back the owned region on decompression) for
-/// tile `blk`. Shared between the block-parallel launch in run_tiles and the
-/// fused compress path, which iterates tiles inside its own worker loop so
-/// it can prefill and histogram the owned codes while they are cache-hot.
+/// (stride, dim) pass down to `min_stride`, write back the owned region on
+/// decompression) for tile `blk` — the one body compression and every
+/// decode share. Shared between the block-parallel launch in run_tiles, the
+/// fused compress path (which iterates tiles inside its own worker loop so
+/// it can prefill and histogram the owned codes while they are cache-hot)
+/// and the reconstructor.
+///
+/// The tile is addressed in global tile-grid coordinates and its clamps
+/// (origin/owned/extent) use the GLOBAL dims, but the loads, write-backs
+/// and code accesses are local to the box [box_lo, box_lo + box_dims),
+/// which must contain the tile's whole closed region: `in`, `out`, `codes`
+/// and `codes_in` all span box_dims. Compression and full decode pass the
+/// whole field (box_lo = 0, box_dims = dims); an ROI passes its covering
+/// box. tile_pass consumes dims only through its linear strides, so handing
+/// it the box dims with a box-local `gorigin` walks byte-identical
+/// arithmetic over re-based indices; the AVX2 vector/scalar split may land
+/// elsewhere (a box's codes_in ends sooner), which is immaterial because
+/// the scalar tail computes the exact same expressions.
 template <bool kCompress, typename T>
 void run_one_tile(const dev::BlockIdx& blk, std::span<const T> in,
                   std::span<T> out, std::span<quant::Code> codes,
                   std::span<const quant::Code> codes_in, const dev::Dim3& dims,
+                  const dev::Dim3& box_lo, const dev::Dim3& box_dims,
                   const InterpConfig& cfg, const Geometry& geo,
                   std::span<const quant::Quantizer> level_qz,
                   PlaneOverride<T> po = {}, std::size_t min_stride = 1) {
@@ -474,22 +489,27 @@ void run_one_tile(const dev::BlockIdx& blk, std::span<const T> in,
     t.extent[i] = std::min(td + 1, nd - t.origin[i]);
   }
   t.lstride = {1, t.extent[0], t.extent[0] * t.extent[1]};
+  // Box-local tile origin.
+  const std::array<std::size_t, 3> bo = {t.origin[0] - box_lo.x,
+                                         t.origin[1] - box_lo.y,
+                                         t.origin[2] - box_lo.z};
 
   // Load the closed region, one contiguous x-row memcpy at a time (local
-  // and global x strides are both 1). For the slab-parallel reconstructor a
+  // and box x strides are both 1). For the slab-parallel reconstructor a
   // z-plane crossing into the next slab loads from the immutable snapshot
-  // in `po` instead of `in`, so the load never races a neighbor slab's
-  // writes; in all other paths `in` is a read-only source.
-  const std::span<const T> src = in;
+  // in `po` (box_dims.x * box_dims.y elements) instead of `in`, so the load
+  // never races a neighbor slab's writes; in all other paths `in` is a
+  // read-only source.
   for (std::size_t z = 0; z < t.extent[2]; ++z) {
     const std::size_t gz = t.origin[2] + z;
     const T* splane = (po.plane != nullptr && gz == po.z) ? po.plane : nullptr;
     for (std::size_t y = 0; y < t.extent[1]; ++y) {
       const std::size_t lrow = y * t.lstride[1] + z * t.lstride[2];
-      const T* grow = splane != nullptr
-                          ? splane + (t.origin[1] + y) * dims.x + t.origin[0]
-                          : src.data() + dev::linearize(dims, t.origin[0],
-                                                        t.origin[1] + y, gz);
+      const T* grow =
+          splane != nullptr
+              ? splane + (bo[1] + y) * box_dims.x + bo[0]
+              : in.data() +
+                    dev::linearize(box_dims, bo[0], bo[1] + y, bo[2] + z);
       std::memcpy(t.buf.data() + lrow, grow, t.extent[0] * sizeof(T));
     }
   }
@@ -498,18 +518,18 @@ void run_one_tile(const dev::BlockIdx& blk, std::span<const T> in,
   // (min_stride > 1) stops before the finer levels: a pass at stride s
   // reads and writes only stride-s grid positions, so the skipped levels
   // never feed the ones that ran.
-  const std::size_t gorigin =
-      dev::linearize(dims, t.origin[0], t.origin[1], t.origin[2]);
+  const std::size_t gorigin = dev::linearize(box_dims, bo[0], bo[1], bo[2]);
   for (std::size_t s = geo.top_stride; s >= min_stride; s >>= 1) {
     std::array<bool, 3> done{false, false, false};
     const quant::Quantizer& qz =
         level_qz[static_cast<std::size_t>(level_of_stride(s) - 1)];
     for (int k = 0; k < 3; ++k) {
       const int d = cfg.dim_order[k];
+      // Degenerate dims skip on the GLOBAL dims.
       if (dim_of(dims, d) == 1) continue;
       tile_pass<kCompress>(t, d, s, done, qz,
-                           cfg.cubic[static_cast<std::size_t>(d)], dims, codes,
-                           codes_in, gorigin);
+                           cfg.cubic[static_cast<std::size_t>(d)], box_dims,
+                           codes, codes_in, gorigin);
       done[static_cast<std::size_t>(d)] = true;
     }
   }
@@ -519,105 +539,25 @@ void run_one_tile(const dev::BlockIdx& blk, std::span<const T> in,
     for (std::size_t z = 0; z < t.owned[2]; ++z)
       for (std::size_t y = 0; y < t.owned[1]; ++y) {
         const std::size_t lrow = y * t.lstride[1] + z * t.lstride[2];
-        const std::size_t grow = dev::linearize(dims, t.origin[0],
-                                                t.origin[1] + y,
-                                                t.origin[2] + z);
+        const std::size_t grow =
+            dev::linearize(box_dims, bo[0], bo[1] + y, bo[2] + z);
         std::memcpy(out.data() + grow, t.buf.data() + lrow,
                     t.owned[0] * sizeof(T));
       }
   }
 }
 
-/// run_one_tile<false> against a box-local buffer: tile `blk` is addressed
-/// in global tile-grid coordinates and its clamps (origin/owned/extent) use
-/// the GLOBAL dims — identical to the full decompressor's — but the loads,
-/// write-backs and code lookups are box-local: `box` and `codes_in` span
-/// the closed box [box_lo, box_lo + box_dims), which must contain the
-/// tile's whole closed region. tile_pass consumes dims only through its
-/// linear strides, so handing it the box dims with a box-local `gorigin`
-/// walks byte-identical arithmetic over re-based indices; the AVX2
-/// vector/scalar split may land elsewhere (codes_in ends sooner), which is
-/// immaterial because the scalar tail computes the exact same expressions.
-template <typename T>
-void run_one_tile_box(const dev::BlockIdx& blk, std::span<T> box,
-                      std::span<const quant::Code> codes_in,
-                      const dev::Dim3& dims, const dev::Dim3& box_lo,
-                      const dev::Dim3& box_dims, const InterpConfig& cfg,
-                      const Geometry& geo,
-                      std::span<const quant::Quantizer> level_qz,
-                      PlaneOverride<T> po = {}) {
-  TileView<T> t;
-  t.origin = {blk.x * geo.tile.x, blk.y * geo.tile.y, blk.z * geo.tile.z};
-  for (int i = 0; i < 3; ++i) {
-    const std::size_t nd = dim_of(dims, i);
-    const std::size_t td = dim_of(geo.tile, i);
-    t.owned[i] = std::min(td, nd - t.origin[i]);
-    t.extent[i] = std::min(td + 1, nd - t.origin[i]);
-  }
-  t.lstride = {1, t.extent[0], t.extent[0] * t.extent[1]};
-
-  // Box-local tile origin; the plan guarantees origin >= box_lo and
-  // origin + extent <= box_lo + box_dims per axis.
-  const std::array<std::size_t, 3> bo = {t.origin[0] - box_lo.x,
-                                         t.origin[1] - box_lo.y,
-                                         t.origin[2] - box_lo.z};
-
-  // Load the closed region box-locally; a +z plane crossing an interior
-  // slab boundary loads from the box-sized snapshot in `po`, exactly like
-  // the full reconstructor's cross-slab load.
-  for (std::size_t z = 0; z < t.extent[2]; ++z) {
-    const std::size_t gz = t.origin[2] + z;
-    const T* splane = (po.plane != nullptr && gz == po.z) ? po.plane : nullptr;
-    for (std::size_t y = 0; y < t.extent[1]; ++y) {
-      const std::size_t lrow = y * t.lstride[1] + z * t.lstride[2];
-      const T* grow =
-          splane != nullptr
-              ? splane + (bo[1] + y) * box_dims.x + bo[0]
-              : box.data() +
-                    dev::linearize(box_dims, bo[0], bo[1] + y, bo[2] + z);
-      std::memcpy(t.buf.data() + lrow, grow, t.extent[0] * sizeof(T));
-    }
-  }
-
-  const std::size_t gorigin = dev::linearize(box_dims, bo[0], bo[1], bo[2]);
-  for (std::size_t s = geo.top_stride; s >= 1; s >>= 1) {
-    std::array<bool, 3> done{false, false, false};
-    const quant::Quantizer& qz =
-        level_qz[static_cast<std::size_t>(level_of_stride(s) - 1)];
-    for (int k = 0; k < 3; ++k) {
-      const int d = cfg.dim_order[k];
-      // Degenerate dims skip on the GLOBAL dims, as in run_one_tile.
-      if (dim_of(dims, d) == 1) continue;
-      tile_pass<false>(t, d, s, done, qz,
-                       cfg.cubic[static_cast<std::size_t>(d)], box_dims, {},
-                       codes_in, gorigin);
-      done[static_cast<std::size_t>(d)] = true;
-    }
-  }
-
-  // Write back the owned region box-locally.
-  for (std::size_t z = 0; z < t.owned[2]; ++z)
-    for (std::size_t y = 0; y < t.owned[1]; ++y) {
-      const std::size_t lrow = y * t.lstride[1] + z * t.lstride[2];
-      const std::size_t grow =
-          dev::linearize(box_dims, bo[0], bo[1] + y, bo[2] + z);
-      std::memcpy(box.data() + grow, t.buf.data() + lrow,
-                  t.owned[0] * sizeof(T));
-    }
-}
-
 template <bool kCompress, typename T>
 void run_tiles(std::span<const T> in, std::span<T> out,
                std::span<quant::Code> codes,
                std::span<const quant::Code> codes_in, const dev::Dim3& dims,
-               double eb, const InterpConfig& cfg, int radius,
-               std::size_t min_stride = 1) {
+               double eb, const InterpConfig& cfg, int radius) {
   const Geometry geo = geometry_for(dims);
   const auto level_qz = make_level_quantizers(eb, cfg, geo, radius);
   const dev::Dim3 grid = dev::grid_for(dims, geo.tile);
   dev::launch_blocks(grid, [&](const dev::BlockIdx& blk) {
-    run_one_tile<kCompress, T>(blk, in, out, codes, codes_in, dims, cfg, geo,
-                               level_qz, {}, min_stride);
+    run_one_tile<kCompress, T>(blk, in, out, codes, codes_in, dims, {0, 0, 0},
+                               dims, cfg, geo, level_qz);
   });
 }
 
@@ -760,8 +700,8 @@ GInterpFusedT<T> compress_fused_impl(std::span<const T> data,
                   dims, origin[0], origin[1] + y, origin[2] + z);
               std::fill_n(codes.data() + row, owned[0], perfect);
             }
-          run_one_tile<true, T>(blk, data, {}, codes, {}, dims, cfg, geo,
-                                level_qz);
+          run_one_tile<true, T>(blk, data, {}, codes, {}, dims, {0, 0, 0},
+                                dims, cfg, geo, level_qz);
           for (std::size_t z = 0; z < owned[2]; ++z)
             for (std::size_t y = 0; y < owned[1]; ++y) {
               const std::size_t row = dev::linearize(
@@ -872,8 +812,8 @@ GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
                   dims, origin[0], origin[1] + y, origin[2] + z);
               std::fill_n(codes.data() + row, owned[0], perfect);
             }
-          run_one_tile<true, T>(blk, data, {}, codes, {}, dims, cfg, geo,
-                                level_qz);
+          run_one_tile<true, T>(blk, data, {}, codes, {}, dims, {0, 0, 0},
+                                dims, cfg, geo, level_qz);
           for (std::size_t z = 0; z < owned[2]; ++z)
             for (std::size_t y = 0; y < owned[1]; ++y) {
               const std::size_t gy = origin[1] + y, gz = origin[2] + z;
@@ -969,109 +909,7 @@ std::vector<T> decompress_impl(std::span<const quant::Code> codes,
 
 }  // namespace
 
-// In-place incremental reconstruction. The constructor performs all archive
-// validation and the scatter; run_slab then reconstructs one tile-grid
-// z-slab directly in `out` (closed-region loads and owned write-backs hit
-// the same buffer). The safety/bit-identity argument lives with the class
-// declaration and in docs/PERF.md.
-template <typename T>
-GInterpReconstructorT<T>::GInterpReconstructorT(
-    std::span<const quant::Code> codes, std::span<const T> anchors,
-    const quant::OutlierViewT<T>& outliers, const dev::Dim3& dims, double eb,
-    const InterpConfig& cfg, int radius, std::span<T> out, int max_level)
-    : codes_(codes),
-      out_(out),
-      dims_(dims),
-      grid_(dev::grid_for(dims, geometry_for(dims).tile)),
-      geo_(geometry_for(dims)),
-      cfg_(cfg),
-      level_qz_(make_level_quantizers(eb, cfg, geo_, radius)),
-      min_stride_(stride_of_level(
-          std::clamp(max_level, 1, interp_levels(geo_) + 1))) {
-  if (codes.size() != dims.volume() || out.size() != dims.volume())
-    throw std::invalid_argument("ginterp_decompress: size/dims mismatch");
-
-  // Anchor count and outlier indices come from the archive; both index into
-  // the output buffer, so they must be validated before any scatter.
-  if (anchors.size() != anchor_dims(dims, geo_.anchor).volume())
-    throw core::CorruptArchive("ginterp", 0, "anchor count mismatch");
-  if (outliers.values.size() != outliers.indices.size())
-    throw core::CorruptArchive("ginterp", 0, "outlier index/value mismatch");
-  for (const auto idx : outliers.indices)
-    if (idx >= dims.volume())
-      throw core::CorruptArchive("ginterp", 0, "outlier index out of range");
-
-  scatter_anchors<T>(anchors, out_, dims, geo_.anchor);
-  for (std::size_t k = 0; k < outliers.indices.size(); ++k)
-    out_[outliers.indices[k]] = outliers.values[k];
-
-  // Snapshot every slab-boundary z-plane now, while the buffer holds exactly
-  // the post-scatter state. A slab's +z border load consumes only anchors
-  // and outlier originals — values reconstruction writes back unchanged —
-  // so substituting this snapshot for the live buffer is bit-transparent,
-  // and it severs the only cross-slab read: slabs become schedulable in any
-  // order, including concurrently.
-  if (grid_.z > 1) {
-    const std::size_t plane = dims_.x * dims_.y;
-    border_.resize((grid_.z - 1) * plane);
-    dev::launch_linear(
-        grid_.z - 1,
-        [&](std::size_t bz) {
-          const std::size_t z = (bz + 1) * geo_.tile.z;
-          std::memcpy(border_.data() + bz * plane, out_.data() + z * plane,
-                      plane * sizeof(T));
-        },
-        1);
-  }
-}
-
-template <typename T>
-std::size_t GInterpReconstructorT<T>::codes_needed(std::size_t bz) const {
-  // A slab's closed regions reach one plane past the owned extent, and the
-  // z-major linearization makes everything below that plane a contiguous
-  // prefix of the code array.
-  const std::size_t zmax = std::min<std::size_t>((bz + 1) * geo_.tile.z + 1,
-                                                 dims_.z);
-  return zmax * dims_.x * dims_.y;
-}
-
-template <typename T>
-void GInterpReconstructorT<T>::run_slab(std::size_t bz) {
-  // Four (bx, by)-parity waves: same-parity tiles are >= 2 blocks apart in
-  // every in-slab direction, so their closed regions (owned + 1 border
-  // plane in each positive direction) never overlap and the in-place loads
-  // and write-backs of concurrently running tiles touch disjoint bytes.
-  // The +z border plane (shared with slab bz+1) loads from the constructor's
-  // snapshot, so concurrently running slabs never touch the same bytes.
-  PlaneOverride<T> po;
-  if (bz + 1 < grid_.z) {
-    po.plane = border_.data() + bz * dims_.x * dims_.y;
-    po.z = (bz + 1) * geo_.tile.z;
-  }
-  for (unsigned color = 0; color < 4; ++color) {
-    const std::size_t px = color & 1u;
-    const std::size_t py = color >> 1u;
-    if (grid_.x <= px || grid_.y <= py) continue;
-    const std::size_t nx = (grid_.x - px + 1) / 2;
-    const std::size_t ny = (grid_.y - py + 1) / 2;
-    dev::launch_linear(
-        nx * ny,
-        [&](std::size_t k) {
-          const std::size_t bx = px + 2 * (k % nx);
-          const std::size_t by = py + 2 * (k / nx);
-          const dev::BlockIdx blk{bx, by, bz,
-                                  (bz * grid_.y + by) * grid_.x + bx};
-          run_one_tile<false, T>(blk, out_, out_, {}, codes_, dims_, cfg_,
-                                 geo_, level_qz_, po, min_stride_);
-        },
-        1);
-  }
-}
-
-template class GInterpReconstructorT<float>;
-template class GInterpReconstructorT<double>;
-
-// ---- Random-access (ROI) reconstruction ----------------------------------
+// ---- Random-access (ROI) planning ----------------------------------------
 
 GInterpRoiPlan ginterp_roi_plan(const dev::Dim3& dims, const dev::Dim3& lo,
                                 const dev::Dim3& ext) {
@@ -1132,82 +970,146 @@ void ginterp_level_box_runs(const dev::Dim3& dims, int level,
     }
 }
 
+// ---- The reconstructor ---------------------------------------------------
+//
+// The constructors validate and scatter (whole field) or take the caller's
+// box-local scatter (ROI), then snapshot the box-interior slab-boundary
+// planes; run_slab reconstructs one z-slab of covering tiles directly in
+// `out` (closed-region loads and owned write-backs hit the same buffer).
+// The safety/bit-identity argument lives with the class declaration and in
+// docs/PERF.md.
+
 template <typename T>
-GInterpRoiReconstructorT<T>::GInterpRoiReconstructorT(
-    std::span<const quant::Code> codes, const GInterpRoiPlan& plan,
+GInterpReconstructorT<T>::GInterpReconstructorT(
+    Unscattered, std::span<const quant::Code> codes, const GInterpRoiPlan& box,
     const dev::Dim3& dims, double eb, const InterpConfig& cfg, int radius,
-    std::span<T> out)
+    std::span<T> out, int max_level)
     : codes_(codes),
       out_(out),
       dims_(dims),
-      plan_(plan),
+      box_(box),
       geo_(geometry_for(dims)),
       cfg_(cfg),
-      level_qz_(make_level_quantizers(eb, cfg, geo_, radius)) {
-  if (codes.size() != plan.box_dims.volume() ||
-      out.size() != plan.box_dims.volume())
-    throw std::invalid_argument("ginterp_roi: size/box mismatch");
-  if (plan.tile_lo.x >= plan.tile_hi.x || plan.tile_lo.y >= plan.tile_hi.y ||
-      plan.tile_lo.z >= plan.tile_hi.z)
-    throw std::invalid_argument("ginterp_roi: empty tile cover");
-
-  // Snapshot the box-interior slab-boundary planes, exactly as the full
-  // reconstructor snapshots the field's: the caller just finished the
-  // scatter, so these planes hold anchors + outlier originals — the only
-  // loaded values a tile's +z border consumes — and reading them from the
-  // snapshot makes covered slabs schedulable in any order. The last covered
-  // slab's +z closed plane needs no snapshot: no covered tile owns (writes)
-  // it, so the live buffer stays at the post-scatter values anyway.
-  const std::size_t nslabs = plan_.tile_hi.z - plan_.tile_lo.z;
-  if (nslabs > 1) {
-    const std::size_t plane = plan_.box_dims.x * plan_.box_dims.y;
-    border_.resize((nslabs - 1) * plane);
-    dev::launch_linear(
-        nslabs - 1,
-        [&](std::size_t k) {
-          const std::size_t z =
-              (plan_.tile_lo.z + k + 1) * geo_.tile.z - plan_.box_lo.z;
-          std::memcpy(border_.data() + k * plane, out_.data() + z * plane,
-                      plane * sizeof(T));
-        },
-        1);
-  }
+      level_qz_(make_level_quantizers(eb, cfg, geo_, radius)),
+      min_stride_(stride_of_level(
+          std::clamp(max_level, 1, interp_levels(geo_) + 1))) {
+  if (codes.size() != box.box_dims.volume() ||
+      out.size() != box.box_dims.volume())
+    throw std::invalid_argument("ginterp_decompress: size/dims mismatch");
 }
 
 template <typename T>
-void GInterpRoiReconstructorT<T>::run_slab(std::size_t k) {
-  const std::size_t bz = plan_.tile_lo.z + k;
+GInterpReconstructorT<T>::GInterpReconstructorT(
+    std::span<const quant::Code> codes, std::span<const T> anchors,
+    const quant::OutlierViewT<T>& outliers, const dev::Dim3& dims, double eb,
+    const InterpConfig& cfg, int radius, std::span<T> out, int max_level)
+    // The whole-field plan, spelled out so a zero-volume field yields zero
+    // slabs instead of ginterp_roi_plan's empty-ROI rejection.
+    : GInterpReconstructorT(
+          Unscattered{}, codes,
+          GInterpRoiPlan{{0, 0, 0},
+                         dev::grid_for(dims, geometry_for(dims).tile),
+                         {0, 0, 0},
+                         dims},
+          dims, eb, cfg, radius, out, max_level) {
+  // Anchor count and outlier indices come from the archive; both index into
+  // the output buffer, so they must be validated before any scatter.
+  if (anchors.size() != anchor_dims(dims, geo_.anchor).volume())
+    throw core::CorruptArchive("ginterp", 0, "anchor count mismatch");
+  if (outliers.values.size() != outliers.indices.size())
+    throw core::CorruptArchive("ginterp", 0, "outlier index/value mismatch");
+  for (const auto idx : outliers.indices)
+    if (idx >= dims.volume())
+      throw core::CorruptArchive("ginterp", 0, "outlier index out of range");
+
+  scatter_anchors<T>(anchors, out_, dims, geo_.anchor);
+  for (std::size_t k = 0; k < outliers.indices.size(); ++k)
+    out_[outliers.indices[k]] = outliers.values[k];
+  snapshot_borders();
+}
+
+template <typename T>
+GInterpReconstructorT<T>::GInterpReconstructorT(
+    std::span<const quant::Code> codes, const GInterpRoiPlan& box,
+    const dev::Dim3& dims, double eb, const InterpConfig& cfg, int radius,
+    std::span<T> out)
+    : GInterpReconstructorT(Unscattered{}, codes, box, dims, eb, cfg, radius,
+                            out, 1) {
+  snapshot_borders();
+}
+
+/// Snapshots every box-interior slab-boundary z-plane while the buffer holds
+/// exactly the post-scatter state. A slab's +z border load consumes only
+/// anchors and outlier originals — values reconstruction writes back
+/// unchanged — so substituting this snapshot for the live buffer is
+/// bit-transparent, and it severs the only cross-slab read: slabs become
+/// schedulable in any order, including concurrently. The last slab's +z
+/// closed plane needs no snapshot: no covered tile owns (writes) it.
+template <typename T>
+void GInterpReconstructorT<T>::snapshot_borders() {
+  const std::size_t nslabs = slab_count();
+  if (nslabs <= 1) return;
+  const std::size_t plane = box_.box_dims.x * box_.box_dims.y;
+  border_.resize((nslabs - 1) * plane);
+  dev::launch_linear(
+      nslabs - 1,
+      [&](std::size_t k) {
+        const std::size_t z =
+            (box_.tile_lo.z + k + 1) * geo_.tile.z - box_.box_lo.z;
+        std::memcpy(border_.data() + k * plane, out_.data() + z * plane,
+                    plane * sizeof(T));
+      },
+      1);
+}
+
+template <typename T>
+std::size_t GInterpReconstructorT<T>::codes_needed(std::size_t k) const {
+  // A slab's closed regions reach one plane past the owned extent, and the
+  // z-major linearization makes everything below that plane a contiguous
+  // prefix of the box-local code array.
+  const std::size_t zend =
+      std::min<std::size_t>((box_.tile_lo.z + k + 1) * geo_.tile.z + 1,
+                            box_.box_lo.z + box_.box_dims.z);
+  return (zend - box_.box_lo.z) * box_.box_dims.x * box_.box_dims.y;
+}
+
+template <typename T>
+void GInterpReconstructorT<T>::run_slab(std::size_t k) {
+  const std::size_t bz = box_.tile_lo.z + k;
   PlaneOverride<T> po;
   if (k + 1 < slab_count()) {
-    po.plane = border_.data() + k * plan_.box_dims.x * plan_.box_dims.y;
+    po.plane = border_.data() + k * box_.box_dims.x * box_.box_dims.y;
     po.z = (bz + 1) * geo_.tile.z;
   }
-  // The same four (bx, by)-parity waves as the full reconstructor, over the
-  // covering block range only; parity is on the global block index, so
-  // same-wave tiles stay >= 2 blocks apart.
+  // Four (bx, by)-parity waves over the covering block range: same-parity
+  // tiles are >= 2 blocks apart in every in-slab direction (parity is on
+  // the global block index), so their closed regions (owned + 1 border
+  // plane in each positive direction) never overlap and the in-place loads
+  // and write-backs of concurrently running tiles touch disjoint bytes.
   for (unsigned color = 0; color < 4; ++color) {
     const std::size_t px = color & 1u;
     const std::size_t py = color >> 1u;
-    const std::size_t bx0 = plan_.tile_lo.x + ((px ^ (plan_.tile_lo.x & 1)) & 1);
-    const std::size_t by0 = plan_.tile_lo.y + ((py ^ (plan_.tile_lo.y & 1)) & 1);
-    if (bx0 >= plan_.tile_hi.x || by0 >= plan_.tile_hi.y) continue;
-    const std::size_t nx = (plan_.tile_hi.x - bx0 + 1) / 2;
-    const std::size_t ny = (plan_.tile_hi.y - by0 + 1) / 2;
+    const std::size_t bx0 = box_.tile_lo.x + ((px ^ (box_.tile_lo.x & 1)) & 1);
+    const std::size_t by0 = box_.tile_lo.y + ((py ^ (box_.tile_lo.y & 1)) & 1);
+    if (bx0 >= box_.tile_hi.x || by0 >= box_.tile_hi.y) continue;
+    const std::size_t nx = (box_.tile_hi.x - bx0 + 1) / 2;
+    const std::size_t ny = (box_.tile_hi.y - by0 + 1) / 2;
     dev::launch_linear(
         nx * ny,
         [&](std::size_t t) {
           const std::size_t bx = bx0 + 2 * (t % nx);
           const std::size_t by = by0 + 2 * (t / nx);
           const dev::BlockIdx blk{bx, by, bz, t};
-          run_one_tile_box<T>(blk, out_, codes_, dims_, plan_.box_lo,
-                              plan_.box_dims, cfg_, geo_, level_qz_, po);
+          run_one_tile<false, T>(blk, out_, out_, {}, codes_, dims_,
+                                 box_.box_lo, box_.box_dims, cfg_, geo_,
+                                 level_qz_, po, min_stride_);
         },
         1);
   }
 }
 
-template class GInterpRoiReconstructorT<float>;
-template class GInterpRoiReconstructorT<double>;
+template class GInterpReconstructorT<float>;
+template class GInterpReconstructorT<double>;
 
 namespace {
 
@@ -1249,32 +1151,6 @@ std::vector<T> subsample_impl(std::span<const T> full, const dev::Dim3& dims,
       for (std::size_t x = 0; x < dims.x; x += sx)
         out.push_back(full[dev::linearize(dims, x, y, z)]);
   return out;
-}
-
-template <typename T>
-std::vector<T> decompress_to_level_impl(std::span<const quant::Code> codes,
-                                        std::span<const T> anchors,
-                                        const quant::OutlierViewT<T>& outliers,
-                                        const dev::Dim3& dims, double eb,
-                                        const InterpConfig& cfg, int radius,
-                                        int max_level, dev::Workspace& ws) {
-  (void)ws;
-  const InterpDims id = interp_dims_of(dims);
-  const int L = std::clamp(max_level, 1, id.nlevels + 1);
-  if (L == id.nlevels + 1) {
-    // Anchors-only preview: the anchor grid IS the coarsest preview grid,
-    // and anchors are stored lossless, so the preview is the anchor array.
-    const Geometry geo = geometry_for(dims);
-    if (anchors.size() != anchor_dims(dims, geo.anchor).volume())
-      throw core::CorruptArchive("ginterp", 0, "anchor count mismatch");
-    return std::vector<T>(anchors.begin(), anchors.end());
-  }
-  std::vector<T> full(dims.volume(), T{0});
-  GInterpReconstructorT<T> recon(codes, anchors, outliers, dims, eb, cfg,
-                                 radius, full, L);
-  dev::launch_linear(
-      recon.slab_count(), [&](std::size_t bz) { recon.run_slab(bz); }, 1);
-  return subsample_impl<T>(full, dims, L);
 }
 
 }  // namespace
@@ -1477,24 +1353,6 @@ std::vector<float> ginterp_subsample(std::span<const float> full,
 std::vector<double> ginterp_subsample(std::span<const double> full,
                                       const dev::Dim3& dims, int max_level) {
   return subsample_impl<double>(full, dims, max_level);
-}
-
-std::vector<float> ginterp_decompress_to_level(
-    std::span<const quant::Code> codes, std::span<const float> anchors,
-    const quant::OutlierViewT<float>& outliers, const dev::Dim3& dims,
-    double eb, const InterpConfig& cfg, int radius, int max_level,
-    dev::Workspace& ws) {
-  return decompress_to_level_impl<float>(codes, anchors, outliers, dims, eb,
-                                         cfg, radius, max_level, ws);
-}
-
-std::vector<double> ginterp_decompress_to_level(
-    std::span<const quant::Code> codes, std::span<const double> anchors,
-    const quant::OutlierViewT<double>& outliers, const dev::Dim3& dims,
-    double eb, const InterpConfig& cfg, int radius, int max_level,
-    dev::Workspace& ws) {
-  return decompress_to_level_impl<double>(codes, anchors, outliers, dims, eb,
-                                          cfg, radius, max_level, ws);
 }
 
 }  // namespace szi::predictor

@@ -190,25 +190,6 @@ struct GInterpLevelsT {
 [[nodiscard]] std::vector<double> ginterp_subsample(
     std::span<const double> full, const dev::Dim3& dims, int max_level);
 
-/// Partial reconstruction for progressive decode: replays anchors + every
-/// level >= max_level and returns the stride-2^(max_level-1) preview grid.
-/// Passes at stride s touch only stride-s grid positions, so the preview is
-/// bit-identical to ginterp_subsample over the full reconstruction — finer
-/// levels' codes are never read and may be absent (prefilled). `codes` must
-/// still span the full volume, with the levels >= max_level scattered and
-/// everything else at the prefill value. max_level is clamped to
-/// [1, level_count+1]; level_count+1 returns the lossless anchor grid.
-[[nodiscard]] std::vector<float> ginterp_decompress_to_level(
-    std::span<const quant::Code> codes, std::span<const float> anchors,
-    const quant::OutlierViewT<float>& outliers, const dev::Dim3& dims,
-    double eb, const InterpConfig& cfg, int radius, int max_level,
-    dev::Workspace& ws);
-[[nodiscard]] std::vector<double> ginterp_decompress_to_level(
-    std::span<const quant::Code> codes, std::span<const double> anchors,
-    const quant::OutlierViewT<double>& outliers, const dev::Dim3& dims,
-    double eb, const InterpConfig& cfg, int radius, int max_level,
-    dev::Workspace& ws);
-
 /// Reconstructs the field from codes + anchors + outliers.
 [[nodiscard]] std::vector<float> ginterp_decompress(
     std::span<const quant::Code> codes, std::span<const float> anchors,
@@ -241,90 +222,7 @@ void ginterp_decompress_into(std::span<const quant::Code> codes,
                              const InterpConfig& cfg, int radius,
                              std::span<double> out, dev::Workspace& ws);
 
-/// Incremental in-place reconstruction, one tile-grid z-slab at a time —
-/// the unit the pipelined decompressor interleaves with Huffman chunk
-/// decode (slab bz only reads codes below codes_needed(bz), so it can run
-/// as soon as the entropy decoder's watermark passes that index).
-///
-/// Why in place is safe (the full argument is in docs/PERF.md):
-///   - the only *loaded* values a tile ever consumes are anchors (never a
-///     pass target) and outlier originals (dequantize returns the loaded
-///     value verbatim at marker codes) — and reconstruction writes exactly
-///     those values back, so whether a shared border plane is read before
-///     or after its owning tile ran, the bytes are the same;
-///   - every other position's reconstruction depends only on codes and on
-///     inputs recomputed earlier within the same tile, never on what the
-///     buffer held at load time.
-/// Scheduling keeps the formal data race out: the constructor snapshots
-/// every slab-boundary z-plane right after the scatter, and a slab's tiles
-/// load their +z border row-by-row from that immutable snapshot instead of
-/// from `out` — the snapshot holds exactly the values the safety argument
-/// says are consumed (anchors and outlier originals, which reconstruction
-/// writes back unchanged), so the substitution is bit-transparent. With the
-/// cross-slab read gone, slabs are fully independent (disjoint writes,
-/// snapshot or own-slab reads) and may run in ANY order, including
-/// concurrently on different streams; within a slab tiles launch in four
-/// (bx, by)-parity waves, so no two concurrent tiles' closed regions
-/// overlap. Output is bit-identical to the staged ginterp_decompress at any
-/// worker count and any slab schedule.
-///
-/// Caveat: positions whose code is the outlier marker but which the archive
-/// failed to list as outliers (impossible for well-formed archives; not
-/// always detectable for corrupt ones) reconstruct from `out`'s prior
-/// contents instead of the staging buffer's zeros — still silently-wrong
-/// values either way, and never UB, which is all the corruption contract
-/// promises.
-template <typename T>
-class GInterpReconstructorT {
- public:
-  /// Validates archive metadata (same core::CorruptArchive throws as
-  /// ginterp_decompress) and scatters anchors + outlier originals into
-  /// `out`. `codes` and `out` are borrowed and must outlive the slab runs;
-  /// `codes` may be filled lazily as long as slab bz's prefix is decoded
-  /// before run_slab(bz). `max_level` > 1 stops the per-tile level walk
-  /// above that level's stride: only stride-2^(max_level-1) grid positions
-  /// are reconstructed (the progressive preview path); everything finer
-  /// keeps whatever `out` held after the scatter.
-  GInterpReconstructorT(std::span<const quant::Code> codes,
-                        std::span<const T> anchors,
-                        const quant::OutlierViewT<T>& outliers,
-                        const dev::Dim3& dims, double eb,
-                        const InterpConfig& cfg, int radius, std::span<T> out,
-                        int max_level = 1);
-
-  [[nodiscard]] std::size_t slab_count() const { return grid_.z; }
-
-  /// Exclusive upper bound on the linear code indices slab `bz` reads
-  /// (monotone in bz; slab_count()-1 maps to the full volume).
-  [[nodiscard]] std::size_t codes_needed(std::size_t bz) const;
-
-  /// Reconstructs every tile with block index z == bz. Slabs are mutually
-  /// independent (cross-slab borders come from the constructor's snapshot),
-  /// so calls may come in any order and from concurrent streams — each bz
-  /// exactly once. Slab bz still requires codes_needed(bz) codes decoded.
-  void run_slab(std::size_t bz);
-
- private:
-  std::span<const quant::Code> codes_;
-  std::span<T> out_;
-  dev::Dim3 dims_;
-  dev::Dim3 grid_;
-  Geometry geo_;
-  InterpConfig cfg_;
-  std::vector<quant::Quantizer> level_qz_;
-  std::size_t min_stride_ = 1;  ///< finest stride the level walk reaches
-  /// Post-scatter snapshot of the slab-boundary z-planes (z = (bz+1)*tile.z
-  /// for bz < grid_.z - 1), dims.x*dims.y elements each, making every slab's
-  /// +z border load independent of neighbor-slab progress.
-  std::vector<T> border_;
-};
-
-using GInterpReconstructor = GInterpReconstructorT<float>;
-
-extern template class GInterpReconstructorT<float>;
-extern template class GInterpReconstructorT<double>;
-
-// ---- Random-access (ROI) reconstruction ----------------------------------
+// ---- Random-access (ROI) planning ----------------------------------------
 //
 // Tiles are self-seeding: the first interpolation pass's inputs are all
 // anchor positions, and the only *loaded* values a tile ever consumes are
@@ -368,49 +266,121 @@ void ginterp_level_box_runs(const dev::Dim3& dims, int level,
                             const dev::Dim3& lo, const dev::Dim3& ext,
                             const GInterpRunFn& fn);
 
-/// Box-clipped counterpart of GInterpReconstructorT: reconstructs only the
-/// plan's covering tiles inside a box-local buffer. `codes` and `out` are
-/// box-local arrays of plan.box_dims.volume() elements; the caller has
-/// already radius-prefilled `codes`, scattered every covered level's
-/// symbols into it, and scattered anchors + outlier originals into `out`
-/// (all at box-local indices). Tile clamps, pass walks and per-point
-/// arithmetic are shared with the full reconstructor, so the owned region
-/// of every covering tile comes out bit-identical to the same tile of a
-/// full decompress; positions of `out` outside those owned regions (the
-/// halo) hold reconstruction scratch and must be discarded by the crop.
+// ---- The reconstructor ---------------------------------------------------
+
+/// In-place reconstruction of a box of tiles down to a level, one tile-grid
+/// z-slab at a time. Every decode runs it: full decode is the whole field at
+/// level 1, a progressive preview the whole field at level N, an ROI read
+/// the plan's covering box at level 1. The slab is the unit the pipelined
+/// decompressor interleaves with Huffman chunk decode (slab k only reads
+/// codes below codes_needed(k), so it can run as soon as the entropy
+/// decoder's watermark passes that index).
+///
+/// Why in place is safe (the full argument is in docs/PERF.md):
+///   - the only *loaded* values a tile ever consumes are anchors (never a
+///     pass target) and outlier originals (dequantize returns the loaded
+///     value verbatim at marker codes) — and reconstruction writes exactly
+///     those values back, so whether a shared border plane is read before
+///     or after its owning tile ran, the bytes are the same;
+///   - every other position's reconstruction depends only on codes and on
+///     inputs recomputed earlier within the same tile, never on what the
+///     buffer held at load time.
+/// Scheduling keeps the formal data race out: the constructor snapshots
+/// every box-interior slab-boundary z-plane right after the scatter, and a
+/// slab's tiles load their +z border row-by-row from that immutable
+/// snapshot instead of from `out` — the snapshot holds exactly the values
+/// the safety argument says are consumed (anchors and outlier originals,
+/// which reconstruction writes back unchanged), so the substitution is
+/// bit-transparent. With the cross-slab read gone, slabs are fully
+/// independent (disjoint writes, snapshot or own-slab reads) and may run in
+/// ANY order, including concurrently on different streams; within a slab
+/// tiles launch in four (bx, by)-parity waves on the global block index, so
+/// no two concurrent tiles' closed regions overlap. Output is bit-identical
+/// to the staged ginterp_decompress at any worker count and any slab
+/// schedule.
+///
+/// A box is addressed box-locally: `codes` and `out` span box.box_dims,
+/// while tile clamps, pass walks and per-point arithmetic use the global
+/// field, so the owned region of every covering tile comes out
+/// bit-identical to the same tile of a full decompress. Positions of `out`
+/// outside those owned regions (an ROI's halo) hold reconstruction scratch.
+/// The whole field's `max_level` > 1 stops the per-tile level walk above
+/// that level's stride: only stride-2^(max_level-1) grid positions are
+/// reconstructed (the progressive preview); everything finer keeps
+/// whatever `out` held after the scatter.
+///
+/// Caveat: positions whose code is the outlier marker but which the archive
+/// failed to list as outliers (impossible for well-formed archives; not
+/// always detectable for corrupt ones) reconstruct from `out`'s prior
+/// contents instead of the staging buffer's zeros — still silently-wrong
+/// values either way, and never UB, which is all the corruption contract
+/// promises.
 template <typename T>
-class GInterpRoiReconstructorT {
+class GInterpReconstructorT {
  public:
-  GInterpRoiReconstructorT(std::span<const quant::Code> codes,
-                           const GInterpRoiPlan& plan, const dev::Dim3& dims,
-                           double eb, const InterpConfig& cfg, int radius,
-                           std::span<T> out);
+  /// The whole field — the box ginterp_roi_plan(dims, {0,0,0}, dims).
+  /// Validates archive metadata (same core::CorruptArchive throws as
+  /// ginterp_decompress) and scatters anchors + outlier originals into
+  /// `out`. `codes` and `out` are borrowed and must outlive the slab runs;
+  /// `codes` may be filled lazily as long as slab k's prefix is decoded
+  /// before run_slab(k).
+  GInterpReconstructorT(std::span<const quant::Code> codes,
+                        std::span<const T> anchors,
+                        const quant::OutlierViewT<T>& outliers,
+                        const dev::Dim3& dims, double eb,
+                        const InterpConfig& cfg, int radius, std::span<T> out,
+                        int max_level = 1);
+
+  /// The covering box `box` of a field `dims`, reconstructed at full
+  /// fidelity (level 1). The caller has already radius-prefilled the
+  /// box-local `codes`, scattered every level's symbols into it, and
+  /// scattered anchors + outlier originals into the box-local `out`.
+  GInterpReconstructorT(std::span<const quant::Code> codes,
+                        const GInterpRoiPlan& box, const dev::Dim3& dims,
+                        double eb, const InterpConfig& cfg, int radius,
+                        std::span<T> out);
 
   /// Covered tile slabs along z; slab k holds tile block z = tile_lo.z + k.
   [[nodiscard]] std::size_t slab_count() const {
-    return plan_.tile_hi.z - plan_.tile_lo.z;
+    return box_.tile_hi.z - box_.tile_lo.z;
   }
 
-  /// Reconstructs every covering tile of slab k. As with the full
-  /// reconstructor, slabs are mutually independent (interior slab
-  /// boundaries load from a post-scatter snapshot) and may run concurrently
-  /// — each k exactly once.
+  /// Exclusive upper bound on the box-local linear code indices slab `k`
+  /// reads (monotone in k; slab_count()-1 maps to the whole box).
+  [[nodiscard]] std::size_t codes_needed(std::size_t k) const;
+
+  /// Reconstructs every covering tile of slab k. Slabs are mutually
+  /// independent (cross-slab borders come from the constructor's snapshot),
+  /// so calls may come in any order and from concurrent streams — each k
+  /// exactly once. Slab k still requires codes_needed(k) codes decoded.
   void run_slab(std::size_t k);
 
  private:
+  struct Unscattered {};
+  GInterpReconstructorT(Unscattered, std::span<const quant::Code> codes,
+                        const GInterpRoiPlan& box, const dev::Dim3& dims,
+                        double eb, const InterpConfig& cfg, int radius,
+                        std::span<T> out, int max_level);
+  void snapshot_borders();
+
   std::span<const quant::Code> codes_;
   std::span<T> out_;
   dev::Dim3 dims_;
-  GInterpRoiPlan plan_;
+  GInterpRoiPlan box_;
   Geometry geo_;
   InterpConfig cfg_;
   std::vector<quant::Quantizer> level_qz_;
+  std::size_t min_stride_ = 1;  ///< finest stride the level walk reaches
   /// Post-scatter snapshot of the box-interior slab-boundary z-planes
-  /// (box_dims.x * box_dims.y elements each), one per interior boundary.
+  /// (z = (tile_lo.z + k + 1) * tile.z for k < slab_count() - 1),
+  /// box_dims.x * box_dims.y elements each, making every slab's +z border
+  /// load independent of neighbor-slab progress.
   std::vector<T> border_;
 };
 
-extern template class GInterpRoiReconstructorT<float>;
-extern template class GInterpRoiReconstructorT<double>;
+using GInterpReconstructor = GInterpReconstructorT<float>;
+
+extern template class GInterpReconstructorT<float>;
+extern template class GInterpReconstructorT<double>;
 
 }  // namespace szi::predictor

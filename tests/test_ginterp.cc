@@ -343,9 +343,11 @@ TEST(GInterpLevels, FusedLevelsMatchesSplit) {
   }
 }
 
-// Partial reconstruction must agree with the subsample of the full decode at
-// every level — passes at stride s only ever touch stride-s positions, so
-// stopping early changes nothing on the coarse grid.
+// Partial reconstruction — the whole-field reconstructor stopped at
+// max_level, then subsampled, which is how previews decode — must agree with
+// the subsample of the full decode at every level: passes at stride s only
+// ever touch stride-s positions, so stopping early changes nothing on the
+// coarse grid.
 TEST(GInterpLevels, DecompressToLevelMatchesSubsample) {
   const Dim3 dims{65, 33, 17};
   const auto data = smooth_field(dims, 5);
@@ -361,10 +363,13 @@ TEST(GInterpLevels, DecompressToLevelMatchesSubsample) {
                                               enc.outliers.values};
   const int nlevels = szi::predictor::ginterp_level_count(dims);
   for (int l = 1; l <= nlevels + 1; ++l) {
-    szi::dev::Arena arena;
-    szi::dev::Workspace ws(arena);
-    const auto part = szi::predictor::ginterp_decompress_to_level(
-        enc.codes, enc.anchors, oview, dims, eb, prof.config, radius, l, ws);
+    std::vector<float> field(dims.volume());
+    szi::predictor::GInterpReconstructor recon(
+        enc.codes, enc.anchors, oview, dims, eb, prof.config, radius,
+        std::span<float>(field), l);
+    for (std::size_t k = 0; k < recon.slab_count(); ++k) recon.run_slab(k);
+    const auto part = szi::predictor::ginterp_subsample(
+        std::span<const float>(field), dims, l);
     const auto sub = szi::predictor::ginterp_subsample(
         std::span<const float>(full), dims, l);
     ASSERT_EQ(part.size(), sub.size()) << "level " << l;

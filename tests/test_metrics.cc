@@ -65,6 +65,65 @@ TEST(Metrics, BitIdenticalNonFinitePairsContributeZero) {
   EXPECT_EQ(d.mse, 0.125);
 }
 
+TEST(Metrics, ErrorBoundedRejectsNonFiniteMismatch) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_FALSE(error_bounded(std::vector<float>{1.0f, 2.0f},
+                             std::vector<float>{1.0f, nan}, 1e-3));
+  EXPECT_FALSE(error_bounded(std::vector<float>{1.0f, nan},
+                             std::vector<float>{1.0f, 2.0f}, 1e-3));
+  EXPECT_FALSE(error_bounded(std::vector<float>{inf}, std::vector<float>{-inf},
+                             1e-3));
+  EXPECT_FALSE(error_bounded(std::vector<float>{inf}, std::vector<float>{nan},
+                             1e-3));
+  EXPECT_FALSE(error_bounded(std::vector<double>{0.0, 3.0},
+                             std::vector<double>{std::nan(""), 3.0}, 1e-3));
+  // Bit-identical non-finite pairs are exact.
+  const std::vector<float> v{1.0f, inf, -inf, nan};
+  EXPECT_TRUE(error_bounded(v, v, 1e-3));
+}
+
+TEST(Metrics, PsnrRangeSpansFiniteOriginalsOnly) {
+  const float inf = std::numeric_limits<float>::infinity();
+  // An exact +Inf/+Inf pair neither widens the range nor hides the finite
+  // error: range 3, mse 0.25/3.
+  const auto d = distortion(std::vector<float>{0.0f, 3.0f, inf},
+                            std::vector<float>{0.5f, 3.0f, inf});
+  EXPECT_EQ(d.range, 3.0);
+  EXPECT_NEAR(d.mse, 0.25 / 3.0, 1e-12);
+  EXPECT_NEAR(d.psnr, 20.0 * std::log10(3.0) - 10.0 * std::log10(0.25 / 3.0),
+              1e-9);
+}
+
+TEST(Metrics, InfiniteMseIsMinusInfinitePsnr) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto d = distortion(std::vector<float>{0.0f, inf},
+                            std::vector<float>{0.0f, nan});
+  EXPECT_EQ(d.psnr, -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isinf(d.nrmse));
+  EXPECT_EQ(d.range, 0.0);
+}
+
+/// `--verify` prints PSNR and max error straight from distortion(): no
+/// combination of finite and non-finite values may yield a NaN field.
+TEST(Metrics, NoDistortionFieldIsNan) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> vals{0.0, 1.0, -2.5, inf, -inf, nan};
+  for (const double o0 : vals)
+    for (const double o1 : vals)
+      for (const double r0 : vals)
+        for (const double r1 : vals) {
+          const auto d = distortion(std::vector<double>{o0, o1},
+                                    std::vector<double>{r0, r1});
+          for (const double f : {d.psnr, d.nrmse, d.max_err, d.mse, d.range})
+            EXPECT_FALSE(std::isnan(f))
+                << "orig {" << o0 << ", " << o1 << "} recon {" << r0 << ", "
+                << r1 << "}";
+        }
+}
+
 TEST(Metrics, DistortionRejectsSizeMismatch) {
   std::vector<float> a(4), b(5);
   EXPECT_THROW((void)distortion(a, b), std::invalid_argument);

@@ -55,6 +55,8 @@ template <typename T>
 void expect_bit_equal(const std::vector<T>& got, const std::vector<T>& want,
                       const char* what) {
   ASSERT_EQ(got.size(), want.size()) << what;
+  // An empty vector's data() may be null, which memcmp must not receive.
+  if (got.empty()) return;
   ASSERT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(T)))
       << what << " differ";
 }

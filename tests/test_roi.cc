@@ -8,11 +8,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/bytes.hh"
@@ -344,5 +347,135 @@ TEST(Roi, ConcurrentReadersReportTheirOwnBytes) {
   }
   fs::remove_all(dir);
 }
+
+// ---- One tile body for every decode ---------------------------------------
+//
+// Full decode, preview and ROI all run the same box- and level-parameterized
+// reconstructor over the same tile body. These shapes are ones no other ROI
+// test uses: partial tiles on every axis, a 2D field, and 1D fields along x
+// and along z (x and y degenerate under the 3D geometry).
+
+template <typename T>
+std::vector<T> smooth(const Dim3& dims) {
+  std::vector<T> v(dims.volume());
+  for (std::size_t z = 0; z < dims.z; ++z)
+    for (std::size_t y = 0; y < dims.y; ++y)
+      for (std::size_t x = 0; x < dims.x; ++x) {
+        const double fx = static_cast<double>(x);
+        const double fy = static_cast<double>(y);
+        const double fz = static_cast<double>(z);
+        v[szi::dev::linearize(dims, x, y, z)] = static_cast<T>(
+            std::sin(0.13 * fx) * std::cos(0.07 * fy) +
+            0.5 * std::sin(0.05 * fz) +
+            0.01 * std::sin(1.7 * (fx + 3 * fy + 5 * fz)));
+      }
+  return v;
+}
+
+struct F32 {
+  using T = float;
+  static std::vector<T> full(std::span<const std::byte> b) {
+    return szi::cuszi_decompress_f32(b);
+  }
+  static szi::RoiResultT<T> roi(std::span<const std::byte> b,
+                                const RoiBox& box) {
+    return szi::cuszi_decompress_roi_f32(b, box);
+  }
+  static szi::ProgressiveResultT<T> preview(std::span<const std::byte> b,
+                                            int level) {
+    return szi::cuszi_decompress_progressive_f32(b, level);
+  }
+};
+
+struct F64 {
+  using T = double;
+  static std::vector<T> full(std::span<const std::byte> b) {
+    return szi::cuszi_decompress_f64(b);
+  }
+  static szi::RoiResultT<T> roi(std::span<const std::byte> b,
+                                const RoiBox& box) {
+    return szi::cuszi_decompress_roi_f64(b, box);
+  }
+  static szi::ProgressiveResultT<T> preview(std::span<const std::byte> b,
+                                            int level) {
+    return szi::cuszi_decompress_progressive_f64(b, level);
+  }
+};
+
+/// Boxes at the origin, at interior offsets (crossing tile boundaries where
+/// the field has them), at the far corner, and the whole field.
+std::vector<RoiBox> boxes_for(const Dim3& d) {
+  const auto half = [](std::size_t n) { return (n + 1) / 2; };
+  const auto third = [](std::size_t n) { return std::max<std::size_t>(1, n / 3); };
+  const auto fifth = [](std::size_t n) { return std::max<std::size_t>(1, n / 5); };
+  return {
+      {{0, 0, 0}, {half(d.x), half(d.y), half(d.z)}},
+      {{d.x / 3, d.y / 3, d.z / 3}, {third(d.x), third(d.y), third(d.z)}},
+      {{d.x / 2, d.y / 4, d.z / 5}, {fifth(d.x), half(d.y), half(d.z)}},
+      {{d.x - fifth(d.x), d.y - fifth(d.y), d.z - fifth(d.z)},
+       {fifth(d.x), fifth(d.y), fifth(d.z)}},
+      {{0, 0, 0}, d},
+  };
+}
+
+template <typename Api>
+void expect_one_tile_body(const Dim3& dims) {
+  using T = typename Api::T;
+  const auto data = smooth<T>(dims);
+  const auto raw =
+      szi::cuszi_compress(std::span<const T>(data), dims, {ErrorMode::Rel, 1e-3});
+  const auto wrapped = szi::bitcomp_wrap_archive(raw);
+  const auto full = Api::full(raw);
+  ASSERT_EQ(full.size(), dims.volume());
+  const std::pair<const char*, const std::vector<std::byte>*> archives[] = {
+      {"raw", &raw}, {"wrapped", &wrapped}};
+  for (const auto& [name, archive] : archives) {
+    const std::span<const std::byte> bytes(*archive);
+    for (const auto& box : boxes_for(dims)) {
+      const auto want = crop(full, dims, box);
+      const auto r = Api::roi(bytes, box);
+      EXPECT_TRUE(r.indexed);
+      EXPECT_EQ(r.dims, box.ext);
+      ASSERT_EQ(r.data.size(), want.size());
+      EXPECT_EQ(0, std::memcmp(r.data.data(), want.data(),
+                               want.size() * sizeof(T)))
+          << name << " box lo=(" << box.lo.x
+          << "," << box.lo.y << "," << box.lo.z << ") ext=(" << box.ext.x
+          << "," << box.ext.y << "," << box.ext.z << ")";
+    }
+    const int nlevels = szi::predictor::ginterp_level_count(dims);
+    for (int l = 1; l <= nlevels + 1; ++l) {
+      const auto p = Api::preview(bytes, l);
+      const auto sub =
+          szi::predictor::ginterp_subsample(std::span<const T>(full), dims, l);
+      EXPECT_EQ(p.level, l);
+      EXPECT_EQ(p.dims, szi::predictor::ginterp_preview_dims(dims, l));
+      ASSERT_EQ(p.data.size(), sub.size()) << "level " << l;
+      EXPECT_EQ(0, std::memcmp(p.data.data(), sub.data(),
+                               sub.size() * sizeof(T)))
+          << name << " level " << l;
+    }
+  }
+}
+
+class GInterpBox : public ::testing::TestWithParam<Dim3> {};
+
+TEST_P(GInterpBox, RoiAndPreviewMatchFullDecodeF32) {
+  expect_one_tile_body<F32>(GetParam());
+}
+
+TEST_P(GInterpBox, RoiAndPreviewMatchFullDecodeF64) {
+  expect_one_tile_body<F64>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GInterpBox,
+    ::testing::Values(Dim3{65, 33, 17}, Dim3{100, 70, 1}, Dim3{1000, 1, 1},
+                      Dim3{1, 1, 300}),
+    [](const ::testing::TestParamInfo<Dim3>& info) {
+      const Dim3& d = info.param;
+      return "d" + std::to_string(d.x) + "x" + std::to_string(d.y) + "x" +
+             std::to_string(d.z);
+    });
 
 }  // namespace
