@@ -3,6 +3,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -34,12 +35,18 @@ inline std::string ledger_path(const std::string& name) {
 /// Writes a committed benchmark ledger (BENCH_*.json) at the repo root and
 /// fails the process loudly if it cannot — a silently missing ledger reads
 /// as "bench ran and was recorded" when it wasn't. Every ledger is stamped
-/// with resource telemetry: the process's peak RSS and the process-wide
+/// with resource telemetry: the peak RSS and the process-wide
 /// ArchiveSource byte counter (0 for benches that decode from memory),
-/// inserted as two extra members of the top-level JSON object.
+/// inserted as two extra members of the top-level JSON object. The peak is
+/// the larger of this process's and its largest waited-for child's, so
+/// benches that measure in subprocesses (scaling, serve_load) record the
+/// children's footprint, not the driver's.
 inline void write_ledger(const std::string& name, std::string json) {
   struct rusage ru = {};
+  struct rusage children = {};
   getrusage(RUSAGE_SELF, &ru);  // ru_maxrss is KiB on Linux
+  getrusage(RUSAGE_CHILDREN, &children);
+  ru.ru_maxrss = std::max(ru.ru_maxrss, children.ru_maxrss);
   const auto brace = json.rfind('}');
   if (brace != std::string::npos) {
     char stamp[128];

@@ -113,49 +113,40 @@ std::uint64_t tidx_payload_bytes(const dev::Dim3& dims, int nlevels) {
   return kTidxHeaderBytes + tidx_entry_count(dims, nlevels) * sizeof(TidxEntry);
 }
 
-/// Per-level stream shape the tile index derives from. Both SZI2 writers
-/// populate this from their own framing state (the plain writer by
-/// re-parsing the stream headers it just wrote, the fused writer straight
-/// from its encode plans), so the emitted index bytes agree byte-for-byte.
-struct TidxLevelMeta {
-  std::size_t chunk_size = 0;
-  std::size_t nchunks = 0;
-  std::uint64_t payload_bytes = 0;
-  std::size_t header_bytes = 0;
-  std::span<const std::uint64_t> offsets;  ///< per-chunk payload bytes
-};
-
-std::vector<std::byte> build_tidx(const dev::Dim3& dims,
-                                  std::span<const TidxLevelMeta> metas) {
+/// Writes the tile index payload (tidx_payload_bytes) into `dst`, derived
+/// from the per-level encode plans (indexed level-1).
+void write_tidx(const dev::Dim3& dims,
+                std::span<const huffman::EncodePlan> plans,
+                std::span<std::byte> dst) {
   const std::size_t slab_z = tidx_slab_z(dims);
   const std::size_t nslabs = tidx_nslabs(dims);
-  const int nlevels = static_cast<int>(metas.size());
-  core::ByteWriter w;
-  w.reserve(static_cast<std::size_t>(tidx_payload_bytes(dims, nlevels)));
-  w.put(kTidxVersion);
-  w.put(static_cast<std::uint16_t>(0));
-  w.put(static_cast<std::uint32_t>(slab_z));
-  w.put(static_cast<std::uint32_t>(nlevels));
-  w.put(static_cast<std::uint32_t>(nslabs));
+  const int nlevels = static_cast<int>(plans.size());
+  std::byte* wp = dst.data();
+  const auto put = [&wp](const auto& v) {
+    std::memcpy(wp, &v, sizeof(v));
+    wp += sizeof(v);
+  };
+  put(kTidxVersion);
+  put(static_cast<std::uint16_t>(0));
+  put(static_cast<std::uint32_t>(slab_z));
+  put(static_cast<std::uint32_t>(nlevels));
+  put(static_cast<std::uint32_t>(nslabs));
   for (int level = nlevels; level >= 1; --level) {
-    const auto& m = metas[static_cast<std::size_t>(level - 1)];
+    const auto& m = plans[static_cast<std::size_t>(level - 1)];
     for (std::size_t k = 0; k < nslabs; ++k) {
       TidxEntry e{};
       e.sym_rank = predictor::ginterp_level_prefix(dims, level, k * slab_z);
       // A slab starting past the level's last symbol (all of its positions
       // sit below the plane) points one past the payload.
       const std::size_t chunk =
-          m.chunk_size == 0
-              ? 0
-              : static_cast<std::size_t>(e.sym_rank) / m.chunk_size;
+          static_cast<std::size_t>(e.sym_rank) / m.chunk_size;
       e.huff_chunk = static_cast<std::uint32_t>(chunk);
       e.code_byte = chunk < m.nchunks ? m.offsets[chunk] : m.payload_bytes;
       e.wrap_block = static_cast<std::uint32_t>(
           (m.header_bytes + e.code_byte) / lossless::kLzssBlock);
-      w.put(e);
+      put(e);
     }
   }
-  return w.take();
 }
 
 /// Total header bytes of a v2 archive with `nseg` segments: fixed header,
@@ -285,19 +276,38 @@ std::vector<std::byte> compress_v1_typed(std::span<const T> data,
   return w.take();
 }
 
-/// Builds the v2 segment directory from the prediction output and the
-/// already-framed per-level Huffman streams (indexed level-1). Offsets are
-/// assigned contiguously from the end of the header in archive order:
-/// anchors, outliers, levels descending, then the trailing tile index
-/// (whose size is a closed form of dims, so the directory freezes before
-/// the index payload exists).
+/// The frozen layout of one SZI2 inner archive: per-level codebooks and
+/// encode plans (indexed level-1) and the segment directory they size.
+/// Offsets are assigned contiguously from the end of the header in archive
+/// order: anchors, outliers, levels descending, then the trailing tile
+/// index (whose size is a closed form of dims, so the directory freezes
+/// before any payload byte exists).
+struct InnerLayout {
+  std::vector<huffman::Codebook> books;
+  std::vector<huffman::EncodePlan> plans;
+  std::vector<SegmentEntry> segs;
+
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(segs.back().offset + segs.back().size);
+  }
+};
+
+/// Plans every level stream (parallel per-chunk sizing and scan) and
+/// freezes the directory.
 template <typename T>
-std::vector<SegmentEntry> make_directory(
-    const predictor::GInterpViewT<T>& pred, const dev::Dim3& dims,
-    std::span<const std::uint64_t> level_counts,
-    std::span<const std::uint64_t> level_sizes) {
-  const int nlevels = static_cast<int>(level_sizes.size());
-  std::vector<SegmentEntry> segs(3 + static_cast<std::size_t>(nlevels));
+InnerLayout plan_inner(const predictor::GInterpViewT<T>& pred,
+                       const predictor::GInterpLevelSplit& levels,
+                       std::vector<huffman::Codebook> books,
+                       const dev::Dim3& dims, dev::Workspace& ws) {
+  InnerLayout lay;
+  lay.books = std::move(books);
+  const int nlevels = static_cast<int>(levels.streams.size());
+  for (std::size_t i = 0; i < levels.streams.size(); ++i)
+    lay.plans.push_back(huffman::encode_plan(
+        levels.streams[i], lay.books[i], huffman::kDefaultChunk, ws));
+
+  auto& segs = lay.segs;
+  segs.resize(3 + static_cast<std::size_t>(nlevels));
   std::uint64_t off = v2_header_bytes(segs.size());
   segs[0].kind = kSegAnchors;
   segs[0].count = pred.anchors.size();
@@ -311,12 +321,13 @@ std::vector<SegmentEntry> make_directory(
   off += segs[1].size;
   for (int j = 0; j < nlevels; ++j) {
     const int level = nlevels - j;
+    const auto& plan = lay.plans[static_cast<std::size_t>(level - 1)];
     auto& s = segs[2 + static_cast<std::size_t>(j)];
     s.kind = kSegLevel;
     s.level = static_cast<std::uint8_t>(level);
-    s.count = level_counts[static_cast<std::size_t>(level - 1)];
+    s.count = plan.n;
     s.offset = off;
-    s.size = level_sizes[static_cast<std::size_t>(level - 1)];
+    s.size = plan.stream_bytes();
     off += s.size;
   }
   auto& tx = segs.back();
@@ -324,16 +335,92 @@ std::vector<SegmentEntry> make_directory(
   tx.count = tidx_entry_count(dims, nlevels);
   tx.offset = off;
   tx.size = tidx_payload_bytes(dims, nlevels);
-  return segs;
+  return lay;
 }
 
-/// The SZI2 writer behind every default compress path. The fused pipeline
-/// re-buckets each owned row's codes into per-level streams inside the
-/// predict kernel (one exact histogram per level as a byproduct); the
+/// Watermark callback of the inner-archive assembler: every byte below the
+/// argument is final.
+using WatermarkFn = dev::FunctionRef<void(std::size_t)>;
+
+/// The one SZI2 inner-archive assembler behind the raw and the wrapped
+/// writer. Writes the header, directory, anchors and outliers, then each
+/// level segment coarsest-first (its stream header, then its chunks emitted
+/// in parallel straight into their final slots), then the tile index built
+/// from the plans. `dst` spans exactly lay.size() bytes, and every byte of
+/// it is written. With `advance`, chunks go out in ~4-block groups and
+/// advance(watermark) runs after the fixed segments, after each stream
+/// header, after every group and at the end, so the wrapped writer's LZSS
+/// pass takes whole 64 KiB regions while later levels still encode; without
+/// it each level's chunks go out in one launch.
+template <typename T>
+void write_inner(const InnerLayout& lay, const predictor::GInterpViewT<T>& pred,
+                 const predictor::GInterpLevelSplit& levels,
+                 const dev::Dim3& dims, const Tuned& tuned,
+                 std::span<std::byte> dst, const WatermarkFn* advance) {
+  constexpr int kRadius = quant::kDefaultRadius;
+  std::byte* wp = dst.data();
+  const auto put_raw = [&wp](std::span<const std::byte> b) {
+    if (!b.empty()) std::memcpy(wp, b.data(), b.size());
+    wp += b.size();
+  };
+  const auto put = [&put_raw](const auto& v) {
+    put_raw(std::as_bytes(std::span(&v, 1)));
+  };
+  put(kMagicV2);
+  put(static_cast<std::uint8_t>(precision_of<T>()));
+  put(static_cast<std::uint64_t>(dims.x));
+  put(static_cast<std::uint64_t>(dims.y));
+  put(static_cast<std::uint64_t>(dims.z));
+  put(tuned.eb);
+  put(pack_config(tuned.cfg, kRadius));
+  put(static_cast<std::uint32_t>(lay.segs.size()));
+  put_raw(std::as_bytes(std::span(lay.segs)));
+  put_raw(std::as_bytes(pred.anchors));
+  put(static_cast<std::uint64_t>(pred.outliers.count()));
+  put_raw(std::as_bytes(pred.outliers.indices));
+  put_raw(std::as_bytes(pred.outliers.values));
+  if (advance) (*advance)(static_cast<std::size_t>(wp - dst.data()));
+
+  constexpr std::uint64_t kGroupBytes = 4 * lossless::kLzssBlock;
+  for (const auto& seg : lay.segs) {
+    if (seg.kind != kSegLevel) continue;
+    const auto i = static_cast<std::size_t>(seg.level - 1);
+    const auto& plan = lay.plans[i];
+    const auto& book = lay.books[i];
+    const std::size_t base = static_cast<std::size_t>(seg.offset);
+    huffman::write_stream_header(plan, book, dst.subspan(base));
+    const std::size_t payload_off = base + plan.header_bytes;
+    if (advance) (*advance)(payload_off);
+    const auto payload = dst.subspan(
+        payload_off, static_cast<std::size_t>(plan.payload_bytes));
+    for (std::size_t c = 0; c < plan.nchunks;) {
+      std::size_t cend = plan.nchunks;
+      if (advance) {
+        cend = c + 1;
+        while (cend < plan.nchunks &&
+               plan.offsets[cend] - plan.offsets[c] < kGroupBytes)
+          ++cend;
+      }
+      huffman::encode_chunks(levels.streams[i], book, plan, c, cend, payload);
+      c = cend;
+      if (advance)
+        (*advance)(payload_off + static_cast<std::size_t>(
+                                     c < plan.nchunks ? plan.offsets[c]
+                                                      : plan.payload_bytes));
+    }
+  }
+  write_tidx(dims, lay.plans,
+             dst.subspan(static_cast<std::size_t>(lay.segs.back().offset)));
+  if (advance) (*advance)(dst.size());
+}
+
+/// The raw SZI2 writer behind every default compress path. The fused
+/// pipeline re-buckets each owned row's codes into per-level streams inside
+/// the predict kernel (one exact histogram per level as a byproduct); the
 /// unfused reference splits the finished code array afterwards — the
 /// streams and histograms are byte-identical, so fused and unfused archives
-/// stay in lockstep. Each level is framed through the one-pass
-/// encode_with_book_serial with its own codebook.
+/// stay in lockstep. The inner archive is assembled straight into the
+/// returned vector.
 template <typename T>
 std::vector<std::byte> compress_typed(std::span<const T> data,
                                       const dev::Dim3& dims,
@@ -367,61 +454,18 @@ std::vector<std::byte> compress_typed(std::span<const T> data,
     t.histogram = stage.lap();
   }
 
-  const int nlevels = static_cast<int>(levels.streams.size());
-  const auto books = huffman::build_level_books(levels.histograms);
+  auto books = huffman::build_level_books(levels.histograms);
   t.codebook = stage.lap();
 
-  std::vector<std::span<const std::byte>> streams(
-      static_cast<std::size_t>(nlevels));
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(nlevels));
-  std::vector<std::uint64_t> sizes(static_cast<std::size_t>(nlevels));
-  for (int l = 1; l <= nlevels; ++l) {
-    const auto i = static_cast<std::size_t>(l - 1);
-    streams[i] = huffman::encode_with_book_serial(
-        levels.streams[i], books[i], huffman::kDefaultChunk, ws);
-    counts[i] = levels.streams[i].size();
-    sizes[i] = streams[i].size();
-  }
-
-  // Tile index, derived from the streams just framed: re-parse each header
-  // for its chunk-offset table (header-only, no payload decode) so this
-  // writer and the fused one compute the index from identical inputs.
-  std::vector<TidxLevelMeta> metas(static_cast<std::size_t>(nlevels));
-  for (int l = 1; l <= nlevels; ++l) {
-    const auto i = static_cast<std::size_t>(l - 1);
-    const auto plan =
-        huffman::decode_plan_header(streams[i], streams[i].size(), ws);
-    metas[i] = {plan.chunk_size, plan.nchunks, plan.payload_bytes,
-                streams[i].size() - static_cast<std::size_t>(plan.payload_bytes),
-                plan.offsets};
-  }
-  const auto tidx = build_tidx(dims, metas);
-  t.encode = stage.lap();
-
-  const auto segs = make_directory<T>(pred, dims, counts, sizes);
-  core::ByteWriter w;
-  w.reserve(static_cast<std::size_t>(segs.back().offset + segs.back().size));
-  w.put(kMagicV2);
-  w.put(static_cast<std::uint8_t>(precision_of<T>()));
-  w.put(static_cast<std::uint64_t>(dims.x));
-  w.put(static_cast<std::uint64_t>(dims.y));
-  w.put(static_cast<std::uint64_t>(dims.z));
-  w.put(tuned.eb);
-  w.put(pack_config(tuned.cfg, kRadius));
-  w.put(static_cast<std::uint32_t>(segs.size()));
-  for (const auto& s : segs) w.put(s);
-  w.put_raw(std::as_bytes(pred.anchors));
-  w.put(static_cast<std::uint64_t>(pred.outliers.count()));
-  w.put_raw(std::as_bytes(pred.outliers.indices));
-  w.put_raw(std::as_bytes(pred.outliers.values));
-  for (std::size_t i = 2; i < segs.size(); ++i)
-    if (segs[i].kind == kSegLevel)
-      w.put_raw(streams[static_cast<std::size_t>(segs[i].level - 1)]);
-  w.put_raw(tidx);
+  const InnerLayout lay =
+      plan_inner<T>(pred, levels, std::move(books), dims, ws);
+  std::vector<std::byte> out(lay.size());
+  write_inner<T>(lay, pred, levels, dims, tuned, out, nullptr);
   ws.reset();
+  t.encode = stage.lap();
   t.total = total.lap();
   if (timings) *timings = t;
-  return w.take();
+  return out;
 }
 
 template <typename T>
@@ -438,18 +482,15 @@ std::vector<std::byte> compress_typed(std::span<const T> data,
 
 /// The fused compress-to-wrapped-archive pipeline (re-threaded for the
 /// level-segmented SZI2 layout and the per-segment 'BBC2' container):
-/// predict and per-level re-bucketing fuse into one pass; every level's
-/// Huffman stream is planned up front (the segment directory needs exact
-/// sizes before the first payload byte), the inner archive is assembled
-/// exactly once in workspace memory with each segment's payload emitted
-/// straight into its final slot, and the de-redundancy pass rides the same
-/// rising watermark — each wrapper segment speculatively LZSS-compresses
-/// its 64 KiB blocks as raw bytes finalize (stream mode), then runs the
-/// sampled method chooser the moment the segment completes; a transform
-/// win (zero-RLE / bitshuffle) re-encodes the transformed bytes and the
-/// speculative blocks are simply dropped (their tasks finish harmlessly
-/// before the drain). Per-block output depends only on the block's bytes,
-/// so the archive is byte-identical to
+/// predict and per-level re-bucketing fuse into one pass; the inner archive
+/// is assembled exactly once in workspace memory by write_inner, and the
+/// de-redundancy pass rides its rising watermark — each wrapper segment
+/// speculatively LZSS-compresses its 64 KiB blocks as raw bytes finalize
+/// (stream mode), then runs the sampled method chooser the moment the
+/// segment completes; a transform win (zero-RLE / bitshuffle) re-encodes
+/// the transformed bytes and the speculative blocks are simply dropped
+/// (their tasks finish harmlessly before the drain). Per-block output
+/// depends only on the block's bytes, so the archive is byte-identical to
 /// bitcomp_wrap_archive(compress_typed(...), mode) for every worker count.
 template <typename T>
 std::vector<std::byte> compress_bitcomp_typed(std::span<const T> data,
@@ -468,33 +509,17 @@ std::vector<std::byte> compress_bitcomp_typed(std::span<const T> data,
   constexpr int kRadius = quant::kDefaultRadius;
   const auto fl = predictor::ginterp_compress_fused_levels(
       data, dims, tuned.eb, tuned.cfg, kRadius, ws);
-  const auto& pred = fl.pred;
   t.predict += stage.lap();
   t.histogram = 0;
   t.histogram_fused = true;
 
-  const auto books = huffman::build_level_books(fl.levels.histograms);
+  auto books = huffman::build_level_books(fl.levels.histograms);
   t.codebook = stage.lap();
 
-  // Per-level encode plans. The sizing pass always runs — even serially —
-  // because the directory freezes every segment's offset and size before
-  // any payload byte can be written; the chunk emission below is then
-  // byte-identical to the one-pass encode_with_book_serial the plain writer
-  // uses (chunk contents depend only on the codes and the book).
-  const int nlevels = static_cast<int>(fl.levels.streams.size());
-  std::vector<huffman::EncodePlan> plans(static_cast<std::size_t>(nlevels));
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(nlevels));
-  std::vector<std::uint64_t> sizes(static_cast<std::size_t>(nlevels));
-  for (int l = 1; l <= nlevels; ++l) {
-    const auto i = static_cast<std::size_t>(l - 1);
-    plans[i] = huffman::encode_plan(fl.levels.streams[i], books[i],
-                                    huffman::kDefaultChunk, ws);
-    counts[i] = fl.levels.streams[i].size();
-    sizes[i] = plans[i].stream_bytes();
-  }
-  const auto segs = make_directory<T>(pred, dims, counts, sizes);
-  const std::size_t raw_size =
-      static_cast<std::size_t>(segs.back().offset + segs.back().size);
+  const InnerLayout lay =
+      plan_inner<T>(fl.pred, fl.levels, std::move(books), dims, ws);
+  const auto& segs = lay.segs;
+  const std::size_t raw_size = lay.size();
 
   std::optional<dev::Stream> lz;
   if (stream_overlap_pays()) lz.emplace();
@@ -600,81 +625,8 @@ std::vector<std::byte> compress_bitcomp_typed(std::span<const T> data,
     }
   };
 
-  // Header + directory + anchor/outlier segments (small, serial), then the
-  // level segments coarsest-first: each segment's stream header, then its
-  // payload in ~4-block chunk groups, advancing the watermark after every
-  // group so whole 64 KiB regions hand off to the LZSS pass while the next
-  // level is still encoding.
-  {
-    std::byte* wp = raw.data();
-    const auto put = [&wp](const auto& v) {
-      std::memcpy(wp, &v, sizeof(v));
-      wp += sizeof(v);
-    };
-    put(kMagicV2);
-    put(static_cast<std::uint8_t>(precision_of<T>()));
-    put(static_cast<std::uint64_t>(dims.x));
-    put(static_cast<std::uint64_t>(dims.y));
-    put(static_cast<std::uint64_t>(dims.z));
-    put(tuned.eb);
-    put(pack_config(tuned.cfg, kRadius));
-    put(static_cast<std::uint32_t>(segs.size()));
-    std::memcpy(wp, segs.data(), segs.size() * sizeof(SegmentEntry));
-    wp += segs.size() * sizeof(SegmentEntry);
-    std::memcpy(wp, pred.anchors.data(), pred.anchors.size() * sizeof(T));
-    wp += pred.anchors.size() * sizeof(T);
-    put(static_cast<std::uint64_t>(pred.outliers.count()));
-    std::memcpy(wp, pred.outliers.indices.data(),
-                pred.outliers.indices.size_bytes());
-    wp += pred.outliers.indices.size_bytes();
-    std::memcpy(wp, pred.outliers.values.data(),
-                pred.outliers.values.size_bytes());
-    wp += pred.outliers.values.size_bytes();
-    submit_upto(static_cast<std::size_t>(wp - raw.data()));
-  }
-
-  constexpr std::uint64_t kGroupBytes = 4 * lossless::kLzssBlock;
-  for (std::size_t si = 2; si < segs.size(); ++si) {
-    if (segs[si].kind != kSegLevel) continue;
-    const auto i = static_cast<std::size_t>(segs[si].level - 1);
-    const auto& plan = plans[i];
-    const auto& book = books[i];
-    const auto codes = fl.levels.streams[i];
-    const std::size_t base = static_cast<std::size_t>(segs[si].offset);
-    huffman::write_stream_header(plan, book, raw.subspan(base));
-    const std::size_t payload_off = base + plan.header_bytes;
-    submit_upto(payload_off);
-    const auto payload = raw.subspan(
-        payload_off, static_cast<std::size_t>(plan.payload_bytes));
-    std::size_t c = 0;
-    while (c < plan.nchunks) {
-      const std::uint64_t start = plan.offsets[c];
-      std::size_t cend = c + 1;
-      while (cend < plan.nchunks && plan.offsets[cend] - start < kGroupBytes)
-        ++cend;
-      huffman::encode_chunks(codes, book, plan, c, cend, payload);
-      c = cend;
-      const std::uint64_t done =
-          c < plan.nchunks ? plan.offsets[c] : plan.payload_bytes;
-      submit_upto(payload_off + static_cast<std::size_t>(done));
-    }
-  }
-  {
-    // Tile index, straight from the encode plans, written into its final
-    // slot; closing the watermark then hands its wrapper segment to the
-    // chooser like any other.
-    std::vector<TidxLevelMeta> metas(static_cast<std::size_t>(nlevels));
-    for (int l = 1; l <= nlevels; ++l) {
-      const auto i = static_cast<std::size_t>(l - 1);
-      metas[i] = {plans[i].chunk_size, plans[i].nchunks,
-                  plans[i].payload_bytes, plans[i].header_bytes,
-                  plans[i].offsets};
-    }
-    const auto tidx = build_tidx(dims, metas);
-    std::memcpy(raw.data() + static_cast<std::size_t>(segs.back().offset),
-                tidx.data(), tidx.size());
-  }
-  submit_upto(raw_size);
+  const WatermarkFn advance = submit_upto;
+  write_inner<T>(lay, fl.pred, fl.levels, dims, tuned, raw, &advance);
   if (lz) lz->synchronize();
 
   // Final wrapped archive, assembled directly into the returned vector:

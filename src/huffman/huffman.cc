@@ -13,38 +13,42 @@ namespace szi::huffman {
 
 namespace {
 
-/// BitWriter over a pre-sized destination: each chunk's exact byte size is
-/// known after phase 1, so phase 2 writes straight into the payload slot
-/// instead of growing a per-chunk vector and copying it over.
+/// MSB-first bit writer over a pre-sized destination: each chunk's exact
+/// byte size is known after phase 1, so phase 2 writes straight into the
+/// payload slot. Bits gather in a 64-bit accumulator and leave 32 at a time
+/// as big-endian words; finish() stores only the bytes the remaining bits
+/// touch, so no byte outside the chunk's exact slot is ever written.
 class SpanBitWriter {
  public:
   explicit SpanBitWriter(std::uint8_t* out) : out_(out) {}
 
-  void put(std::uint64_t bits, unsigned nbits) {
-    while (nbits > 0) {
-      const unsigned take = nbits < free_ ? nbits : free_;
-      cur_ = static_cast<std::uint8_t>(
-          cur_ | (((bits >> (nbits - take)) & ((1u << take) - 1))
-                  << (free_ - take)));
-      free_ -= take;
-      nbits -= take;
-      if (free_ == 0) flush_byte();
+  /// Appends the low `nbits` (<= 32) bits of `bits`, most significant first.
+  void put(std::uint32_t bits, unsigned nbits) {
+    acc_ = (acc_ << nbits) | bits;
+    pending_ += nbits;
+    if (pending_ >= 32) {
+      pending_ -= 32;
+      store_be32(out_, static_cast<std::uint32_t>(acc_ >> pending_));
+      out_ += 4;
     }
   }
 
-  void align() {
-    if (free_ < 8) flush_byte();
+  /// Flushes the < 32 pending bits, zero-padded to a byte boundary.
+  void finish() {
+    if (pending_ == 0) return;
+    std::uint8_t tail[4];
+    store_be32(tail, static_cast<std::uint32_t>(acc_ << (32 - pending_)));
+    std::memcpy(out_, tail, (pending_ + 7) / 8);
   }
 
  private:
-  void flush_byte() {
-    *out_++ = cur_;
-    cur_ = 0;
-    free_ = 8;
+  static void store_be32(std::uint8_t* p, std::uint32_t v) {
+    v = __builtin_bswap32(v);
+    std::memcpy(p, &v, sizeof(v));
   }
   std::uint8_t* out_;
-  std::uint8_t cur_ = 0;
-  unsigned free_ = 8;
+  std::uint64_t acc_ = 0;
+  unsigned pending_ = 0;
 };
 
 template <typename T>
@@ -151,56 +155,9 @@ void encode_chunks(std::span<const quant::Code> codes, const Codebook& book,
         SpanBitWriter bw(base + plan.offsets[c]);
         for (std::size_t i = begin; i < end; ++i)
           bw.put(book.codes[codes[i]], book.lengths[codes[i]]);
-        bw.align();
+        bw.finish();
       },
       1);
-}
-
-std::size_t payload_bound(const Codebook& book, std::size_t n,
-                          std::size_t chunk_size) {
-  if (chunk_size == 0) throw std::invalid_argument("huffman: chunk_size == 0");
-  std::size_t maxlen = 0;
-  for (const auto l : book.lengths) maxlen = std::max<std::size_t>(maxlen, l);
-  // Each chunk rounds up to a whole byte, adding at most one byte per chunk
-  // over the n * maxlen / 8 bit total.
-  return (n * maxlen + 7) / 8 + dev::ceil_div(n, chunk_size);
-}
-
-EncodePlan encode_emit_serial(std::span<const quant::Code> codes,
-                              const Codebook& book, std::size_t chunk_size,
-                              std::span<std::byte> payload,
-                              dev::Workspace& ws) {
-  if (chunk_size == 0) throw std::invalid_argument("huffman: chunk_size == 0");
-  const std::size_t n = codes.size();
-  const std::size_t nchunks = dev::ceil_div(n, chunk_size);
-  if (payload.size() < payload_bound(book, n, chunk_size))
-    throw std::invalid_argument("huffman: serial payload destination too small");
-  auto offsets = ws.make<std::uint64_t>(nchunks);
-  auto* base = reinterpret_cast<std::uint8_t*>(payload.data());
-
-  std::uint64_t off = 0;
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    offsets[c] = off;
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(begin + chunk_size, n);
-    SpanBitWriter bw(base + off);
-    std::uint64_t bits = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      bw.put(book.codes[codes[i]], book.lengths[codes[i]]);
-      bits += book.lengths[codes[i]];
-    }
-    bw.align();
-    off += (bits + 7) / 8;
-  }
-
-  EncodePlan plan;
-  plan.n = n;
-  plan.chunk_size = chunk_size;
-  plan.nchunks = nchunks;
-  plan.payload_bytes = off;
-  plan.header_bytes = overhead_bytes(book.nbins(), n, chunk_size);
-  plan.offsets = offsets;
-  return plan;
 }
 
 std::span<const std::byte> encode_with_book(std::span<const quant::Code> codes,
@@ -218,14 +175,7 @@ std::span<const std::byte> encode_with_book(std::span<const quant::Code> codes,
 std::span<const std::byte> encode_with_book_serial(
     std::span<const quant::Code> codes, const Codebook& book,
     std::size_t chunk_size, dev::Workspace& ws) {
-  const std::size_t header =
-      overhead_bytes(book.nbins(), codes.size(), chunk_size);
-  auto staging = ws.make<std::byte>(
-      header + payload_bound(book, codes.size(), chunk_size));
-  const EncodePlan plan =
-      encode_emit_serial(codes, book, chunk_size, staging.subspan(header), ws);
-  write_stream_header(plan, book, staging);
-  return staging.first(plan.stream_bytes());
+  return encode_with_book(codes, book, chunk_size, ws);
 }
 
 std::vector<Codebook> build_level_books(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstring>
@@ -613,12 +614,20 @@ GInterpViewT<T> compress_ws_impl(std::span<const T> data,
   return out;
 }
 
-/// The fused predict+histogram pass (the PR-4 stage-fusion pipeline).
-///
-/// Tiles are statically partitioned into contiguous ranges over a fixed
-/// worker count (sized exactly like the standalone histogram kernel, so the
-/// fused pass never spawns more accumulation workers than counting the codes
-/// afterwards would). Each worker, per tile:
+/// Worker slots of a fused pass over `dims`: sized exactly like the
+/// standalone histogram kernel, so the fused pass never spawns more
+/// accumulation slots than counting the codes afterwards would.
+std::size_t fused_workers(const dev::Dim3& dims) {
+  const std::size_t ntiles =
+      dev::grid_for(dims, geometry_for(dims).tile).volume();
+  return std::min(huffman::histogram_workers(dims.volume()),
+                  std::max<std::size_t>(ntiles, 1));
+}
+
+/// The tile walk shared by both fused predict passes. `nworkers` body slots
+/// claim batches of kFusedTileBatch consecutive tiles from one shared
+/// atomic counter until the grid is exhausted, so a slow worker takes fewer
+/// batches instead of holding up the launch. Each slot, per tile:
 ///   1. prefills the tile's owned region with the "perfectly predicted"
 ///      code — replacing the standalone full-array prefill launch; safe
 ///      because compression never *reads* codes and every global position is
@@ -626,250 +635,188 @@ GInterpViewT<T> compress_ws_impl(std::span<const T> data,
 ///      array exactly once;
 ///   2. runs the unchanged tile passes (run_one_tile), which overwrite the
 ///      owned+targeted positions with real codes;
-///   3. counts the owned region's final codes into its private banked
-///      histogram while the ~4 KiB of codes are still cache-hot;
-///   4. collects the owned region's outliers — (global index, original
-///      value) pairs wherever the final code is the outlier marker — into a
+///   3. hands each owned row's codes, final and cache-hot, to
+///      `row_sink(slot, row_codes, x0, gy, gz, nx)` (row_codes points at
+///      global position (x0, gy, gz)), which counts them into the slot's
+///      private partials;
+///   4. collects the row's outliers — (global index, original value) pairs
+///      wherever the final code is the outlier marker — into the slot's
 ///      private list, replacing quant::gather_outliers' two standalone
 ///      full-array scans over the codes.
-/// Codes are bit-identical to the unfused path (same writes, same values),
-/// and the folded histogram equals huffman::histogram(codes) exactly: both
-/// count every position once and uint32 addition commutes, so neither the
-/// tile-order partition nor the bank assignment is observable in the totals.
-/// The merged outlier lists are sorted by global index before being exposed;
-/// indices are unique (one per position), so the sorted sequence is exactly
-/// the ascending-index order a single left-to-right scan produces, and the
-/// serialized outlier blob is byte-identical to the gather_outliers output
-/// no matter how tiles were partitioned across workers.
+/// Codes are bit-identical to the unfused path (same writes, same values).
+/// Which slot claims which tile is scheduling-dependent, so every slot
+/// product must fold to the same result under any assignment: partial
+/// counts are uint32 sums (addition commutes), and the merged outlier list
+/// is sorted by global index — indices are unique, so the sorted sequence
+/// is exactly the ascending order a single left-to-right scan produces.
+/// `slot` is the launch loop index, not a thread id, so each slot is
+/// written by one logical worker even when the launch runs nested inside
+/// another parallel_for and degrades to a sequential inline walk.
+template <typename T, typename RowSink>
+GInterpViewT<T> fused_tile_walk(std::span<const T> data, const dev::Dim3& dims,
+                                double eb, const InterpConfig& cfg, int radius,
+                                std::size_t nworkers, dev::Workspace& ws,
+                                const RowSink& row_sink) {
+  const Geometry geo = geometry_for(dims);
+  auto anchors = ws.make<T>(anchor_dims(dims, geo.anchor).volume());
+  gather_anchors_into<T>(data, dims, geo.anchor, anchors);
+
+  auto codes = ws.make<quant::Code>(data.size());
+  const auto perfect = static_cast<quant::Code>(radius);
+  const auto level_qz = make_level_quantizers(eb, cfg, geo, radius);
+  const dev::Dim3 grid = dev::grid_for(dims, geo.tile);
+  const std::size_t ntiles = grid.volume();
+
+  struct Outlier {
+    std::uint64_t index;
+    T value;
+  };
+  std::vector<std::vector<Outlier>> worker_outliers(nworkers);
+  std::atomic<std::size_t> next_tile{0};
+  dev::launch_linear(
+      nworkers,
+      [&](std::size_t w) {
+        auto& outl = worker_outliers[w];
+        for (;;) {
+          const std::size_t tb = next_tile.fetch_add(kFusedTileBatch);
+          if (tb >= ntiles) break;
+          const std::size_t te = std::min(tb + kFusedTileBatch, ntiles);
+          for (std::size_t ti = tb; ti < te; ++ti) {
+            const dev::Coord3 c = dev::delinearize(grid, ti);
+            const dev::BlockIdx blk{c.x, c.y, c.z, ti};
+            // Owned (half-open) region of this tile.
+            std::size_t origin[3], owned[3];
+            for (int i = 0; i < 3; ++i) {
+              const std::size_t o = (i == 0 ? blk.x : i == 1 ? blk.y : blk.z) *
+                                    dim_of(geo.tile, i);
+              origin[i] = o;
+              owned[i] = std::min(dim_of(geo.tile, i), dim_of(dims, i) - o);
+            }
+            for (std::size_t z = 0; z < owned[2]; ++z)
+              for (std::size_t y = 0; y < owned[1]; ++y) {
+                const std::size_t row = dev::linearize(
+                    dims, origin[0], origin[1] + y, origin[2] + z);
+                std::fill_n(codes.data() + row, owned[0], perfect);
+              }
+            run_one_tile<true, T>(blk, data, {}, codes, {}, dims, {0, 0, 0},
+                                  dims, cfg, geo, level_qz);
+            for (std::size_t z = 0; z < owned[2]; ++z)
+              for (std::size_t y = 0; y < owned[1]; ++y) {
+                const std::size_t gy = origin[1] + y, gz = origin[2] + z;
+                const std::size_t row =
+                    dev::linearize(dims, origin[0], gy, gz);
+                row_sink(w, codes.data() + row, origin[0], gy, gz, owned[0]);
+                for (std::size_t x = 0; x < owned[0]; ++x)
+                  if (codes[row + x] == quant::kOutlierMarker)
+                    outl.push_back({row + x, data[row + x]});
+              }
+          }
+        }
+      },
+      1);
+
+  std::size_t total = 0;
+  for (const auto& v : worker_outliers) total += v.size();
+  auto merged = ws.make<Outlier>(total);
+  std::size_t pos = 0;
+  for (const auto& v : worker_outliers) {
+    std::copy(v.begin(), v.end(), merged.begin() + pos);
+    pos += v.size();
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const Outlier& a, const Outlier& b) { return a.index < b.index; });
+  auto oindices = ws.make<std::uint64_t>(total);
+  auto ovalues = ws.make<T>(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    oindices[i] = merged[i].index;
+    ovalues[i] = merged[i].value;
+  }
+
+  GInterpViewT<T> out;
+  out.codes = codes;
+  out.anchors = anchors;
+  out.outliers = {oindices, ovalues};
+  return out;
+}
+
+/// The fused predict+histogram pass (the PR-4 stage-fusion pipeline): the
+/// shared tile walk with each owned row counted into the slot's private
+/// banked histogram. The folded histogram equals huffman::histogram(codes)
+/// exactly: both count every position once, so neither the tile-to-slot
+/// assignment nor the bank assignment is observable in the totals.
 template <typename T>
 GInterpFusedT<T> compress_fused_impl(std::span<const T> data,
                                      const dev::Dim3& dims, double eb,
                                      const InterpConfig& cfg, int radius,
                                      dev::Workspace& ws) {
   check_compress_args(data, dims, eb);
-
-  const Geometry geo = geometry_for(dims);
-  auto anchors = ws.make<T>(anchor_dims(dims, geo.anchor).volume());
-  gather_anchors_into<T>(data, dims, geo.anchor, anchors);
-
-  auto codes = ws.make<quant::Code>(data.size());
-  const auto perfect = static_cast<quant::Code>(radius);
   const std::size_t nbins = 2 * static_cast<std::size_t>(radius);
-
-  const auto level_qz = make_level_quantizers(eb, cfg, geo, radius);
-  const dev::Dim3 grid = dev::grid_for(dims, geo.tile);
-  const std::size_t ntiles = grid.volume();
-  const std::size_t nworkers =
-      std::min(huffman::histogram_workers(data.size()), std::max<std::size_t>(ntiles, 1));
-  const std::size_t tiles_per = dev::ceil_div(ntiles, nworkers);
-
-  auto parts =
-      ws.make<std::uint32_t>(nworkers * huffman::kHistogramBanks * nbins);
-  struct Outlier {
-    std::uint64_t index;
-    T value;
-  };
-  std::vector<std::vector<Outlier>> worker_outliers(nworkers);
-  // Private-slot audit (mirrors huffman::histogram): `w` is the launch loop
-  // index, not a thread id, so each of the nworkers slots is written by
-  // exactly one logical worker even when this launch runs nested inside
-  // another parallel_for and degrades to a sequential inline walk.
-  dev::launch_linear(
-      nworkers,
-      [&](std::size_t w) {
-        std::uint32_t* h =
-            parts.data() + w * huffman::kHistogramBanks * nbins;
-        std::fill_n(h, huffman::kHistogramBanks * nbins, 0u);
-        auto& outl = worker_outliers[w];
-        const std::size_t tb = w * tiles_per;
-        const std::size_t te = std::min(tb + tiles_per, ntiles);
-        for (std::size_t ti = tb; ti < te; ++ti) {
-          const dev::Coord3 c = dev::delinearize(grid, ti);
-          const dev::BlockIdx blk{c.x, c.y, c.z, ti};
-          // Owned (half-open) region of this tile.
-          std::size_t origin[3], owned[3];
-          for (int i = 0; i < 3; ++i) {
-            const std::size_t o =
-                (i == 0 ? blk.x : i == 1 ? blk.y : blk.z) * dim_of(geo.tile, i);
-            origin[i] = o;
-            owned[i] = std::min(dim_of(geo.tile, i), dim_of(dims, i) - o);
-          }
-          for (std::size_t z = 0; z < owned[2]; ++z)
-            for (std::size_t y = 0; y < owned[1]; ++y) {
-              const std::size_t row = dev::linearize(
-                  dims, origin[0], origin[1] + y, origin[2] + z);
-              std::fill_n(codes.data() + row, owned[0], perfect);
-            }
-          run_one_tile<true, T>(blk, data, {}, codes, {}, dims, {0, 0, 0},
-                                dims, cfg, geo, level_qz);
-          for (std::size_t z = 0; z < owned[2]; ++z)
-            for (std::size_t y = 0; y < owned[1]; ++y) {
-              const std::size_t row = dev::linearize(
-                  dims, origin[0], origin[1] + y, origin[2] + z);
-              huffman::accumulate_banked(codes.data() + row, owned[0], h,
-                                         nbins);
-              for (std::size_t x = 0; x < owned[0]; ++x)
-                if (codes[row + x] == quant::kOutlierMarker)
-                  outl.push_back({row + x, data[row + x]});
-            }
-        }
-      },
-      1);
-
-  std::size_t total = 0;
-  for (const auto& v : worker_outliers) total += v.size();
-  auto merged = ws.make<Outlier>(total);
-  std::size_t pos = 0;
-  for (const auto& v : worker_outliers) {
-    std::copy(v.begin(), v.end(), merged.begin() + pos);
-    pos += v.size();
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const Outlier& a, const Outlier& b) { return a.index < b.index; });
-  auto oindices = ws.make<std::uint64_t>(total);
-  auto ovalues = ws.make<T>(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    oindices[i] = merged[i].index;
-    ovalues[i] = merged[i].value;
-  }
+  const std::size_t slot = huffman::kHistogramBanks * nbins;
+  const std::size_t nworkers = fused_workers(dims);
+  auto parts = ws.make<std::uint32_t>(nworkers * slot);
+  std::fill(parts.begin(), parts.end(), 0u);
 
   GInterpFusedT<T> out;
-  out.pred.codes = codes;
-  out.pred.anchors = anchors;
-  out.pred.outliers = {oindices, ovalues};
-  out.histogram =
-      huffman::merge_histograms(parts, nworkers * huffman::kHistogramBanks,
-                                nbins);
+  out.pred = fused_tile_walk<T>(
+      data, dims, eb, cfg, radius, nworkers, ws,
+      [&](std::size_t w, const quant::Code* rc, std::size_t, std::size_t,
+          std::size_t, std::size_t nx) {
+        huffman::accumulate_banked(rc, nx, parts.data() + w * slot, nbins);
+      });
+  out.histogram = huffman::merge_histograms(
+      parts, nworkers * huffman::kHistogramBanks, nbins);
   return out;
 }
 
-/// The fused pass with per-level emission (the SZI2 compress front end).
-/// Identical tile walk and worker partition as compress_fused_impl; the
-/// difference is step 3: instead of one banked histogram over the owned
-/// codes, each owned row is re-bucketed into the per-level streams. Every
-/// level-v position's slot is its closed-form rank, so workers write
-/// disjoint stream ranges and the streams come out in ascending linear
-/// order — byte-identical to a serial left-to-right split no matter how
-/// tiles were partitioned. Per-level histograms are counted in the same
-/// walk (plain per-worker partials, folded in fixed order).
+/// The fused pass with per-level emission (the SZI2 compress front end):
+/// the shared tile walk with each owned row re-bucketed into the per-level
+/// streams. Every level-v position's slot is its closed-form rank, so
+/// slots write disjoint stream ranges and the streams come out in ascending
+/// linear order — byte-identical to a serial left-to-right split no matter
+/// which slot claimed which tile. Per-level histograms are counted in the
+/// same walk (plain per-slot partials, folded in fixed order).
 template <typename T>
 GInterpLevelsT<T> compress_fused_levels_impl(std::span<const T> data,
                                              const dev::Dim3& dims, double eb,
                                              const InterpConfig& cfg,
                                              int radius, dev::Workspace& ws) {
   check_compress_args(data, dims, eb);
-
-  const Geometry geo = geometry_for(dims);
-  auto anchors = ws.make<T>(anchor_dims(dims, geo.anchor).volume());
-  gather_anchors_into<T>(data, dims, geo.anchor, anchors);
-
-  auto codes = ws.make<quant::Code>(data.size());
-  const auto perfect = static_cast<quant::Code>(radius);
   const std::size_t nbins = 2 * static_cast<std::size_t>(radius);
-
   const InterpDims id = interp_dims_of(dims);
   const auto nlv = static_cast<std::size_t>(id.nlevels);
   std::vector<std::span<quant::Code>> streams(nlv);
   for (std::size_t v = 0; v < nlv; ++v)
     streams[v] =
         ws.make<quant::Code>(ginterp_level_volume(dims, static_cast<int>(v) + 1));
-
-  const auto level_qz = make_level_quantizers(eb, cfg, geo, radius);
-  const dev::Dim3 grid = dev::grid_for(dims, geo.tile);
-  const std::size_t ntiles = grid.volume();
-  const std::size_t nworkers =
-      std::min(huffman::histogram_workers(data.size()),
-               std::max<std::size_t>(ntiles, 1));
-  const std::size_t tiles_per = dev::ceil_div(ntiles, nworkers);
-
+  const std::size_t nworkers = fused_workers(dims);
   auto parts = ws.make<std::uint32_t>(nworkers * nlv * nbins);
-  struct Outlier {
-    std::uint64_t index;
-    T value;
-  };
-  std::vector<std::vector<Outlier>> worker_outliers(nworkers);
-  dev::launch_linear(
-      nworkers,
-      [&](std::size_t w) {
-        std::uint32_t* hists = parts.data() + w * nlv * nbins;
-        std::fill_n(hists, nlv * nbins, 0u);
-        auto& outl = worker_outliers[w];
-        const std::size_t tb = w * tiles_per;
-        const std::size_t te = std::min(tb + tiles_per, ntiles);
-        for (std::size_t ti = tb; ti < te; ++ti) {
-          const dev::Coord3 c = dev::delinearize(grid, ti);
-          const dev::BlockIdx blk{c.x, c.y, c.z, ti};
-          std::size_t origin[3], owned[3];
-          for (int i = 0; i < 3; ++i) {
-            const std::size_t o =
-                (i == 0 ? blk.x : i == 1 ? blk.y : blk.z) * dim_of(geo.tile, i);
-            origin[i] = o;
-            owned[i] = std::min(dim_of(geo.tile, i), dim_of(dims, i) - o);
-          }
-          for (std::size_t z = 0; z < owned[2]; ++z)
-            for (std::size_t y = 0; y < owned[1]; ++y) {
-              const std::size_t row = dev::linearize(
-                  dims, origin[0], origin[1] + y, origin[2] + z);
-              std::fill_n(codes.data() + row, owned[0], perfect);
-            }
-          run_one_tile<true, T>(blk, data, {}, codes, {}, dims, {0, 0, 0},
-                                dims, cfg, geo, level_qz);
-          for (std::size_t z = 0; z < owned[2]; ++z)
-            for (std::size_t y = 0; y < owned[1]; ++y) {
-              const std::size_t gy = origin[1] + y, gz = origin[2] + z;
-              const std::size_t row =
-                  dev::linearize(dims, origin[0], gy, gz);
-              for (std::size_t v = 0; v < nlv; ++v) {
-                const std::size_t s = std::size_t{1} << v;
-                const RowPattern p =
-                    row_pattern(gy, gz, id, static_cast<int>(v), s);
-                if (p.step == 0) continue;
-                const std::size_t x0 = origin[0];
-                std::size_t x =
-                    x0 <= p.start
-                        ? p.start
-                        : p.start +
-                              dev::ceil_div(x0 - p.start, p.step) * p.step;
-                if (x >= x0 + owned[0]) continue;
-                std::size_t rank = level_rank(dims, id, static_cast<int>(v),
-                                              x, gy, gz);
-                std::uint32_t* h = hists + v * nbins;
-                quant::Code* dst = streams[v].data();
-                for (; x < x0 + owned[0]; x += p.step) {
-                  const quant::Code code = codes[row + (x - x0)];
-                  dst[rank++] = code;
-                  ++h[code];
-                }
-              }
-              for (std::size_t x = 0; x < owned[0]; ++x)
-                if (codes[row + x] == quant::kOutlierMarker)
-                  outl.push_back({row + x, data[row + x]});
-            }
-        }
-      },
-      1);
-
-  std::size_t total = 0;
-  for (const auto& v : worker_outliers) total += v.size();
-  auto merged = ws.make<Outlier>(total);
-  std::size_t pos = 0;
-  for (const auto& v : worker_outliers) {
-    std::copy(v.begin(), v.end(), merged.begin() + pos);
-    pos += v.size();
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const Outlier& a, const Outlier& b) { return a.index < b.index; });
-  auto oindices = ws.make<std::uint64_t>(total);
-  auto ovalues = ws.make<T>(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    oindices[i] = merged[i].index;
-    ovalues[i] = merged[i].value;
-  }
+  std::fill(parts.begin(), parts.end(), 0u);
 
   GInterpLevelsT<T> out;
-  out.pred.codes = codes;
-  out.pred.anchors = anchors;
-  out.pred.outliers = {oindices, ovalues};
+  out.pred = fused_tile_walk<T>(
+      data, dims, eb, cfg, radius, nworkers, ws,
+      [&](std::size_t w, const quant::Code* rc, std::size_t x0,
+          std::size_t gy, std::size_t gz, std::size_t nx) {
+        for (std::size_t v = 0; v < nlv; ++v) {
+          const std::size_t s = std::size_t{1} << v;
+          const RowPattern p = row_pattern(gy, gz, id, static_cast<int>(v), s);
+          if (p.step == 0) continue;
+          std::size_t x =
+              x0 <= p.start
+                  ? p.start
+                  : p.start + dev::ceil_div(x0 - p.start, p.step) * p.step;
+          if (x >= x0 + nx) continue;
+          std::size_t rank =
+              level_rank(dims, id, static_cast<int>(v), x, gy, gz);
+          std::uint32_t* h = parts.data() + (w * nlv + v) * nbins;
+          quant::Code* dst = streams[v].data();
+          for (; x < x0 + nx; x += p.step) {
+            const quant::Code code = rc[x - x0];
+            dst[rank++] = code;
+            ++h[code];
+          }
+        }
+      });
   out.levels.streams.assign(streams.begin(), streams.end());
   out.levels.histograms.resize(nlv);
   for (std::size_t v = 0; v < nlv; ++v) {

@@ -81,10 +81,14 @@ struct GInterpFusedT {
   std::vector<std::uint32_t> histogram;
 };
 
+/// Tiles a fused-pass worker claims per fetch from the shared tile counter.
+inline constexpr std::size_t kFusedTileBatch = 8;
+
 /// Fused predict+quantize+histogram. Codes/anchors/outliers are pooled in
-/// `ws` and byte-identical to ginterp_compress(); each worker counts the
-/// codes of the tiles it owns into a private banked histogram while they are
-/// cache-hot, and the partials fold with the deterministic serial merge.
+/// `ws` and byte-identical to ginterp_compress(); workers claim batches of
+/// kFusedTileBatch tiles from a shared counter and count each claimed tile's
+/// codes into a private banked histogram while they are cache-hot; the
+/// partials fold with the deterministic serial merge.
 [[nodiscard]] GInterpFusedT<float> ginterp_compress_fused(
     std::span<const float> data, const dev::Dim3& dims, double eb,
     const InterpConfig& cfg, int radius, dev::Workspace& ws);

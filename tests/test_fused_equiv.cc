@@ -8,13 +8,18 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/bytes.hh"
 #include "core/cuszi.hh"
 #include "datagen/datasets.hh"
 #include "device/arena.hh"
+#include "device/launch.hh"
+#include "huffman/histogram.hh"
 #include "lossless/lzss.hh"
+#include "predictor/ginterp.hh"
 
 namespace {
 
@@ -112,6 +117,83 @@ TEST(FusedEquiv, ShapesAndPrecisions) {
     ASSERT_EQ(szi::cuszi_decompress_bitcomp_f64(w64, ws),
               szi::cuszi_decompress_f64(u64a));
   }
+}
+
+// Dynamic tile claiming in the fused kernels: worker slots take batches of
+// kFusedTileBatch tiles from one shared counter, so which slot counts which
+// tile depends on scheduling. Fields with injected spikes (outliers in many
+// tiles) whose tile count sits below, at, and off a multiple of
+// workers x batch must still give fused codes, per-level streams,
+// histograms and the outlier blob equal to the unfused ginterp_compress +
+// ginterp_split_levels reference, for both fused kernels.
+TEST(FusedEquiv, DynamicTileClaimingWithOutliers) {
+  namespace pr = szi::predictor;
+  const Dim3 shapes[] = {{32, 8, 24},  {32, 32, 16}, {100001, 1, 1},
+                         {70, 40, 90}, {200, 130, 1}};
+  const int radius = szi::quant::kDefaultRadius;
+  const std::size_t nbins = 2 * static_cast<std::size_t>(radius);
+  const double eb = 1e-3;
+  const pr::InterpConfig cfg;
+  int below = 0, equal = 0, ragged = 0;
+  for (const auto& dims : shapes) {
+    const std::size_t n = dims.volume();
+    const std::size_t ntiles =
+        szi::dev::grid_for(dims, pr::geometry_for(dims).tile).volume();
+    const std::size_t round =
+        std::min(szi::huffman::histogram_workers(n), ntiles) *
+        pr::kFusedTileBatch;
+    below += ntiles < round;
+    equal += ntiles == round;
+    ragged += ntiles > round && ntiles % round != 0;
+    const std::string where = std::to_string(dims.x) + "x" +
+                              std::to_string(dims.y) + "x" +
+                              std::to_string(dims.z);
+
+    std::vector<float> data(n);
+    for (std::size_t i = 0; i < n; ++i)
+      data[i] = static_cast<float>(std::sin(0.01 * static_cast<double>(i))) +
+                (i % 613 == 17 ? 50.0f : 0.0f);
+    const std::span<const float> d(data);
+
+    const auto ref = pr::ginterp_compress(d, dims, eb, cfg, radius);
+    ASSERT_GT(ref.outliers.count(), ntiles / 8) << where;
+    szi::dev::Arena arena;
+    szi::dev::Workspace ws(arena);
+    const auto split = pr::ginterp_split_levels(ref.codes, dims, nbins, ws);
+    const auto same_outliers = [&](const szi::quant::OutlierViewT<float>& o) {
+      szi::quant::OutlierSetT<float> got;
+      for (std::size_t i = 0; i < o.count(); ++i)
+        got.add(o.indices[i], o.values[i]);
+      return got.serialize() == ref.outliers.serialize();
+    };
+
+    const auto fl = pr::ginterp_compress_fused_levels(d, dims, eb, cfg,
+                                                      radius, ws);
+    ASSERT_TRUE(std::equal(ref.codes.begin(), ref.codes.end(),
+                           fl.pred.codes.begin(), fl.pred.codes.end()))
+        << where;
+    ASSERT_EQ(fl.levels.streams.size(), split.streams.size()) << where;
+    for (std::size_t l = 0; l < split.streams.size(); ++l) {
+      EXPECT_TRUE(std::equal(split.streams[l].begin(), split.streams[l].end(),
+                             fl.levels.streams[l].begin(),
+                             fl.levels.streams[l].end()))
+          << where << " level " << l + 1;
+      EXPECT_EQ(fl.levels.histograms[l], split.histograms[l])
+          << where << " level " << l + 1;
+    }
+    EXPECT_TRUE(same_outliers(fl.pred.outliers)) << where;
+
+    const auto fh = pr::ginterp_compress_fused(d, dims, eb, cfg, radius, ws);
+    ASSERT_TRUE(std::equal(ref.codes.begin(), ref.codes.end(),
+                           fh.pred.codes.begin(), fh.pred.codes.end()))
+        << where;
+    EXPECT_EQ(fh.histogram, szi::huffman::histogram(ref.codes, nbins))
+        << where;
+    EXPECT_TRUE(same_outliers(fh.pred.outliers)) << where;
+  }
+  EXPECT_GT(below, 0);
+  EXPECT_GT(equal, 0);
+  EXPECT_GT(ragged, 0);
 }
 
 // Both LZSS parameterizations of the de-redundancy pass: the pipelined

@@ -2,7 +2,9 @@
 // equivalence (§VI-A).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "datagen/rng.hh"
@@ -252,32 +254,130 @@ TEST(Histogram, NestedLaunchMatchesTopLevel) {
     EXPECT_EQ(nested[i], reference) << "outer launch index " << i;
 }
 
-// The serial one-pass emitter behind the SZI2 level segments must produce
-// the same bytes as the two-pass encode_with_book for every stream shape —
-// including empty streams and sizes around chunk boundaries.
-TEST(Huffman, SerialEmitterMatchesEncodeWithBook) {
-  szi::dev::Arena arena;
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, std::size_t{1023}, std::size_t{1024},
-        std::size_t{1025}, std::size_t{50000}}) {
-    const auto codes = geometric_codes(n, 0.4, 1024, 7 + n);
-    auto hist = szi::huffman::histogram(codes, 1024);
-    if (n == 0) hist.assign(1024, 0);  // empty stream, empty histogram
-    const auto book = Codebook::build(hist);
+// Test-side copy of the byte-at-a-time bit writer the chunk emitter used
+// before the word-wise writer: MSB-first, one byte stored per 8 bits,
+// zero-padded to a byte boundary at the end of each chunk.
+class ByteBitWriter {
+ public:
+  explicit ByteBitWriter(std::vector<std::byte>& out) : out_(out) {}
 
-    szi::dev::Workspace ws_a(arena), ws_b(arena);
-    const auto two_pass = szi::huffman::encode_with_book(
-        codes, book, szi::huffman::kDefaultChunk, ws_a);
-    const auto one_pass = szi::huffman::encode_with_book_serial(
-        codes, book, szi::huffman::kDefaultChunk, ws_b);
-    ASSERT_EQ(one_pass.size(), two_pass.size()) << "n=" << n;
-    EXPECT_EQ(0,
-              std::memcmp(one_pass.data(), two_pass.data(), two_pass.size()))
-        << "n=" << n;
-
-    const std::vector<std::byte> stream(one_pass.begin(), one_pass.end());
-    EXPECT_EQ(szi::huffman::decode(stream), codes) << "n=" << n;
+  void put(std::uint64_t bits, unsigned nbits) {
+    while (nbits > 0) {
+      const unsigned take = nbits < free_ ? nbits : free_;
+      cur_ = static_cast<std::uint8_t>(
+          cur_ | (((bits >> (nbits - take)) & ((1u << take) - 1))
+                  << (free_ - take)));
+      free_ -= take;
+      nbits -= take;
+      if (free_ == 0) flush_byte();
+    }
   }
+
+  void align() {
+    if (free_ < 8) flush_byte();
+  }
+
+ private:
+  void flush_byte() {
+    out_.push_back(std::byte{cur_});
+    cur_ = 0;
+    free_ = 8;
+  }
+  std::vector<std::byte>& out_;
+  std::uint8_t cur_ = 0;
+  unsigned free_ = 8;
+};
+
+template <typename V>
+void put_pod(std::vector<std::byte>& out, const V& v) {
+  const auto* p = reinterpret_cast<const std::byte*>(&v);
+  out.insert(out.end(), p, p + sizeof(V));
+}
+
+/// The documented stream layout, framed independently of the library:
+/// u32 nbins | u8 lengths[nbins] | u64 n | u32 chunk_size |
+/// u64 payload_bytes | u64 chunk_byte_offset[n_chunks] | payload.
+std::vector<std::byte> reference_stream(const std::vector<Code>& codes,
+                                        const Codebook& book,
+                                        std::size_t chunk) {
+  std::vector<std::byte> payload;
+  std::vector<std::uint64_t> offsets;
+  for (std::size_t begin = 0; begin < codes.size(); begin += chunk) {
+    offsets.push_back(payload.size());
+    ByteBitWriter bw(payload);
+    for (std::size_t i = begin; i < std::min(begin + chunk, codes.size()); ++i)
+      bw.put(book.codes[codes[i]], book.lengths[codes[i]]);
+    bw.align();
+  }
+  std::vector<std::byte> out;
+  put_pod(out, static_cast<std::uint32_t>(book.nbins()));
+  for (const auto l : book.lengths) put_pod(out, l);
+  put_pod(out, static_cast<std::uint64_t>(codes.size()));
+  put_pod(out, static_cast<std::uint32_t>(chunk));
+  put_pod(out, static_cast<std::uint64_t>(payload.size()));
+  for (const auto o : offsets) put_pod(out, o);
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+/// A random complete codebook over `nbins` symbols that holds a 1-bit and a
+/// 32-bit code: start from the chain 1, 2, ..., 31, 32, 32 (Kraft sum 1),
+/// split random leaves shorter than 32 bits (each split keeps the sum at 1),
+/// and scatter the lengths over random symbols.
+Codebook random_extreme_book(std::size_t nbins, std::uint64_t seed) {
+  szi::datagen::Rng rng(seed);
+  std::vector<std::uint8_t> leaves;
+  for (unsigned l = 1; l <= szi::huffman::kMaxCodeLen; ++l)
+    leaves.push_back(static_cast<std::uint8_t>(l));
+  leaves.push_back(static_cast<std::uint8_t>(szi::huffman::kMaxCodeLen));
+  const std::size_t target = 40 + rng.next_u64() % 200;
+  while (leaves.size() < target) {
+    // Leaf 0 is the 1-bit code; leaves of 32 bits cannot split.
+    const std::size_t k = 1 + rng.next_u64() % (leaves.size() - 1);
+    if (leaves[k] >= szi::huffman::kMaxCodeLen) continue;
+    ++leaves[k];
+    leaves.push_back(leaves[k]);
+  }
+  std::vector<std::size_t> symbols(nbins);
+  for (std::size_t i = 0; i < nbins; ++i) symbols[i] = i;
+  for (std::size_t i = nbins - 1; i > 0; --i)
+    std::swap(symbols[i], symbols[rng.next_u64() % (i + 1)]);
+  std::vector<std::uint8_t> lengths(nbins, 0);
+  for (std::size_t i = 0; i < leaves.size(); ++i)
+    lengths[symbols[i]] = leaves[i];
+  return Codebook::from_lengths(std::move(lengths));
+}
+
+// The word-wise chunk emitter must reproduce the byte-at-a-time writer bit
+// for bit: codebooks spanning 1- to 32-bit codes, symbols drawn uniformly
+// over the used codes (so long codes dominate), and stream lengths around
+// every chunk boundary, including empty streams and one-symbol chunks.
+TEST(Huffman, WordWriterMatchesByteWriter) {
+  constexpr std::size_t kBins = 1024;
+  std::uint64_t seed = 1;
+  for (const std::size_t c : {std::size_t{1}, std::size_t{7}, std::size_t{4096}})
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, c - 1, c,
+                                c + 1, std::size_t{50000}}) {
+      const auto book = random_extreme_book(kBins, ++seed);
+      std::vector<Code> used;
+      for (std::size_t s = 0; s < kBins; ++s)
+        if (book.lengths[s] != 0) used.push_back(static_cast<Code>(s));
+      std::vector<Code> codes(n);
+      szi::datagen::Rng rng(seed * 7919);
+      for (auto& code : codes) code = used[rng.next_u64() % used.size()];
+      // Make sure both extremes are on the wire whenever there is room.
+      for (std::size_t s = 0; s < kBins && n >= 2; ++s) {
+        if (book.lengths[s] == 1) codes[0] = static_cast<Code>(s);
+        if (book.lengths[s] == szi::huffman::kMaxCodeLen)
+          codes[n - 1] = static_cast<Code>(s);
+      }
+
+      const auto got = szi::huffman::encode_with_book(codes, book, c);
+      ASSERT_EQ(got, reference_stream(codes, book, c))
+          << "chunk " << c << ", n " << n;
+      EXPECT_EQ(szi::huffman::decode(got), codes)
+          << "chunk " << c << ", n " << n;
+    }
 }
 
 // build_level_books is just Codebook::build per histogram — including the
