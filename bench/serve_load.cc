@@ -8,12 +8,10 @@
 // clock, not the service, paces the offered load). Per-request latency is
 // taken from the service's own submit->dispatch->complete stamps.
 //
-// Three scenarios ablate the scheduler's two control knobs:
-//   coalesced     waves on, no budget           (the default configuration)
-//   uncoalesced   coalesce=false                (every compress is its own
-//                                                wave — what batching buys)
-//   admission     waves on, workspace budget on (what the budget costs; the
-//                                                Queue flavor trims + splits)
+// Two scenarios:
+//   default     the default configuration: no workspace budget
+//   admission   a workspace budget below the largest request's estimate,
+//               Queue flavor — what holding over-budget requests costs
 //
 // Byte-identity is enforced two ways:
 //   1. In-process: every compress response is memcmp'd against the direct
@@ -21,10 +19,11 @@
 //   2. Cross-worker-count: the pool reads SZI_THREADS once per process, so
 //      the parent re-executes itself with `--child` under SZI_THREADS =
 //      1, 2, 4, 8 and asserts the FNV-1a hash over all responses (in
-//      submission order) matches the 1-worker reference.
+//      submission order) matches the 1-worker reference. The 1-worker child
+//      runs the service inline; the others run its worker threads.
 //
 // Writes BENCH_serve.json at the repo root. `--smoke` runs a tiny
-// single-scenario workload with no children and no ledger — the CI crash
+// default-scenario workload with no children and no ledger — the CI crash
 // gate.
 #include <cinttypes>
 #include <cmath>
@@ -64,8 +63,8 @@ std::uint64_t fnv1a(const void* p, std::size_t n,
   return h;
 }
 
-/// The fixed asset set every request draws from: three f32 size classes
-/// (distinct wave keys), one f64 field, and pre-built archives for the
+/// The fixed asset set every request draws from: three f32 size classes,
+/// one f64 field, and pre-built archives for the
 /// decompress/ROI legs.
 struct Assets {
   std::vector<Field> f32_fields;                   // small / medium / large
@@ -240,41 +239,19 @@ ScenarioResult run_scenario(const std::string& name, const ServeConfig& cfg,
   return res;
 }
 
-// The ablation scenarios force Dispatch::Scheduler so the knobs under test
-// actually engage on any host (Auto would go inline at 1 worker and make
-// coalesce a no-op); the inline scenario measures that degradation mode
-// explicitly.
-ServeConfig coalesced_cfg() {
-  ServeConfig cfg;
-  cfg.dispatch = ServeConfig::Dispatch::Scheduler;
-  return cfg;
-}
-
-ServeConfig uncoalesced_cfg() {
-  ServeConfig cfg = coalesced_cfg();
-  cfg.coalesce = false;
-  return cfg;
-}
-
 ServeConfig admission_cfg() {
-  ServeConfig cfg = coalesced_cfg();
-  // Below the largest size class's workspace estimate: big-compress waves
-  // must trim the pools and split before dispatching.
+  ServeConfig cfg;
+  // Below the largest size class's workspace estimate: big compresses must
+  // trim the pools and wait until nothing else is in flight.
   cfg.workspace_budget_bytes = std::size_t{6} << 20;
   cfg.over_budget = ServeConfig::OverBudget::Queue;
-  return cfg;
-}
-
-ServeConfig inline_cfg() {
-  ServeConfig cfg;
-  cfg.dispatch = ServeConfig::Dispatch::Inline;
   return cfg;
 }
 
 int run_child(const char* outfile, int requests) {
   const Assets a = build_assets();
   const auto plan = build_schedule(requests);
-  const auto res = run_scenario("child", coalesced_cfg(), a, plan);
+  const auto res = run_scenario("child", ServeConfig{}, a, plan);
   FILE* out = std::fopen(outfile, "w");
   if (!out) {
     std::fprintf(stderr, "error: cannot open %s\n", outfile);
@@ -296,15 +273,14 @@ std::string scenario_json(const ScenarioResult& r, bool last) {
       "     \"wall_seconds\": %.4f, \"requests_per_second\": %.1f, "
       "\"in_mb_per_second\": %.2f, \"out_mb_per_second\": %.2f,\n"
       "     \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f,\n"
-      "     \"waves\": %" PRIu64 ", \"coalesced_requests\": %" PRIu64
-      ", \"admission_deferrals\": %" PRIu64
+      "     \"dispatched\": %" PRIu64 ", \"admission_deferrals\": %" PRIu64
       ", \"admission_rejects\": %" PRIu64 ",\n"
       "     \"arena_high_water_bytes\": %zu, \"byte_identical\": %s}%s\n",
       r.name.c_str(), r.requests, r.ok, r.failed, r.rejected, r.wall_seconds,
       r.wall_seconds > 0 ? double(r.requests) / r.wall_seconds : 0.0,
       r.wall_seconds > 0 ? double(r.bytes_in) / 1e6 / r.wall_seconds : 0.0,
       r.wall_seconds > 0 ? double(r.bytes_out) / 1e6 / r.wall_seconds : 0.0,
-      r.p50_ms, r.p95_ms, r.p99_ms, r.stats.waves, r.stats.coalesced,
+      r.p50_ms, r.p95_ms, r.p99_ms, r.stats.waves,
       r.stats.admission_deferrals, r.stats.admission_rejects,
       r.stats.arena_high_water_bytes, r.byte_identical ? "true" : "false",
       last ? "" : ",");
@@ -324,30 +300,27 @@ int main(int argc, char** argv) {
               "compress/decompress/ROI, %u core(s)\n",
               requests, kArrivalsPerSec, cores);
   if (cores == 1)
-    std::printf("note: single-core host — the service degrades to inline "
-                "execution (Auto dispatch) and coalescing cannot overlap "
-                "work; latencies are honest, speedups cannot manifest\n");
+    std::printf("note: single-core host — the service runs inline and "
+                "cannot overlap work; latencies are honest, speedups cannot "
+                "manifest\n");
 
   const Assets a = build_assets();
   const auto plan = build_schedule(requests);
 
   std::vector<ScenarioResult> scenarios;
-  scenarios.push_back(run_scenario("coalesced", coalesced_cfg(), a, plan));
-  if (!smoke) {
-    scenarios.push_back(
-        run_scenario("uncoalesced", uncoalesced_cfg(), a, plan));
+  scenarios.push_back(run_scenario("default", ServeConfig{}, a, plan));
+  if (!smoke)
     scenarios.push_back(run_scenario("admission", admission_cfg(), a, plan));
-    scenarios.push_back(run_scenario("inline", inline_cfg(), a, plan));
-  }
 
   bool all_identical = true;
   for (const auto& s : scenarios) {
     std::printf("  %-12s %5.2f s  %6.1f req/s  p50 %6.3f ms  p95 %6.3f ms  "
-                "p99 %6.3f ms  waves %" PRIu64 "  coalesced %" PRIu64
+                "p99 %6.3f ms  dispatched %" PRIu64 "  deferred %" PRIu64
                 "  identical %s\n",
                 s.name.c_str(), s.wall_seconds,
                 s.wall_seconds > 0 ? double(s.requests) / s.wall_seconds : 0.0,
-                s.p50_ms, s.p95_ms, s.p99_ms, s.stats.waves, s.stats.coalesced,
+                s.p50_ms, s.p95_ms, s.p99_ms, s.stats.waves,
+                s.stats.admission_deferrals,
                 s.byte_identical ? "yes" : "NO");
     all_identical = all_identical && s.byte_identical && s.failed == 0;
   }
@@ -408,10 +381,10 @@ int main(int argc, char** argv) {
           "compress, 25% decompress, 10% ROI\",\n";
   json += "  \"cpu_cores\": " + std::to_string(cores) + ",\n";
   if (cores == 1)
-    json += "  \"single_core_host\": \"true — the service runs inline (Auto "
-            "dispatch picks no scheduler thread at 1 worker) and scenarios "
-            "time-slice one core; latencies are honest measurements on this "
-            "box, coalescing/parallel speedup cannot manifest\",\n";
+    json += "  \"single_core_host\": \"true — the service runs inline (no "
+            "worker threads at 1 worker) and scenarios time-slice one core; "
+            "latencies are honest measurements on this box, parallel "
+            "speedup cannot manifest\",\n";
   json += std::string("  \"byte_identical_across_workers\": ") +
           (sweep_identical ? "true" : "false") + ",\n";
   json += "  \"worker_sweep\": [1, 2, 4, 8],\n";

@@ -184,8 +184,9 @@ int run_serve_bench(std::size_t n) {
   std::discrete_distribution<int> kind({35, 30, 25, 10});
 
   serve::Service svc;
-  std::printf("serve-bench: %zu requests, Poisson 600/s, %s dispatch\n", n,
-              svc.inline_mode() ? "inline (single-core host)" : "scheduled");
+  std::printf("serve-bench: %zu requests, Poisson 600/s, %s\n", n,
+              svc.inline_mode() ? "inline (single-core host)"
+                                : "worker threads");
   std::vector<std::pair<int, serve::Ticket>> tickets;
   tickets.reserve(n);
   const auto start = Clock::now();
@@ -245,10 +246,8 @@ int run_serve_bench(std::size_t n) {
               "p99 %.3f ms\n",
               wall, wall > 0 ? double(n) / wall : 0.0, pct(0.50), pct(0.95),
               pct(0.99));
-  std::printf("  waves %llu | coalesced %llu | failed %zu | arena high-water "
-              "%zu B\n",
-              static_cast<unsigned long long>(s.waves),
-              static_cast<unsigned long long>(s.coalesced), failed,
+  std::printf("  dispatched %llu | failed %zu | arena high-water %zu B\n",
+              static_cast<unsigned long long>(s.waves), failed,
               s.arena_high_water_bytes);
   std::printf("  byte-identical to direct calls: %s\n",
               identical ? "yes" : "NO");

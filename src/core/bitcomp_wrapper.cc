@@ -174,19 +174,6 @@ std::vector<float> Compressor::decompress(std::span<const std::byte> bytes,
   return decompress(bytes, decode_seconds);
 }
 
-std::vector<CheckedCompressResult> Compressor::compress_batch_checked(
-    std::span<const Field> fields, const CompressParams& p) {
-  std::vector<CheckedCompressResult> out(fields.size());
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    try {
-      out[i].result = compress(fields[i], p);
-    } catch (...) {
-      out[i].error = std::current_exception();
-    }
-  }
-  return out;
-}
-
 CompressResult Compressor::compress_bitcomp(const Field& field,
                                             const CompressParams& p) {
   CompressResult r = compress(field, p);

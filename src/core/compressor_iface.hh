@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <span>
 #include <string>
@@ -53,16 +52,6 @@ struct StageTimings {
 struct CompressResult {
   std::vector<std::byte> bytes;
   StageTimings timings;
-};
-
-/// Outcome of one field of a failure-isolated batch
-/// (compress_batch_checked): either the archive or the exception that field
-/// raised. `error` is null on success.
-struct CheckedCompressResult {
-  CompressResult result;
-  std::exception_ptr error;
-
-  [[nodiscard]] bool ok() const { return error == nullptr; }
 };
 
 /// Decompression-side stage breakdown (--stages on -x). When the pipelined
@@ -143,17 +132,6 @@ class Compressor {
     for (const auto& f : fields) out.push_back(compress(f, p));
     return out;
   }
-
-  /// Failure-isolated batch: one field's exception fails only its own slot
-  /// (captured in CheckedCompressResult::error) instead of aborting the
-  /// whole batch — the contract a multi-tenant scheduler needs to coalesce
-  /// unrelated requests into one wave without coupling their fates. The
-  /// default loops compress() under try/catch; cuSZ-i overrides it with the
-  /// stream-pipelined checked batch. Successful slots are byte-identical
-  /// to compress() per field.
-  [[nodiscard]] virtual std::vector<CheckedCompressResult>
-  compress_batch_checked(std::span<const Field> fields,
-                         const CompressParams& p);
 
   /// Archives are self-describing; `decode_seconds` (optional) receives the
   /// wall time.

@@ -2165,8 +2165,8 @@ std::vector<SegmentInfo> archive_segments_typed(
   return out;
 }
 
-/// The batched pipeline behind cuszi_compress_many(),
-/// cuszi_compress_many_checked(), and Cuszi::compress_batch: fields go
+/// The batched pipeline behind cuszi_compress_many() and
+/// Cuszi::compress_batch: fields go
 /// round-robin onto `streams` in-order async queues. `streams == 0` means
 /// auto — one stream per pool worker (capped by the field count), so the
 /// batch front end scales with SZI_THREADS instead of a caller-guessed
@@ -2178,17 +2178,18 @@ std::vector<SegmentInfo> archive_segments_typed(
 /// byte-identical because every kernel is deterministic regardless of
 /// scheduling.
 ///
-/// Failure isolation: each field's exception is caught inside its own task
-/// and parked in its BatchItem, so a throwing field never poisons its
-/// stream — the wave's other fields (including later fields on the same
-/// stream) still compress. A task that threw may have left the shared
-/// Workspace holding blocks mid-flight; reset() before the next field
-/// reuses it.
-std::vector<BatchItem> compress_many_checked_impl(
+/// Each field's exception is caught inside its own task, so a throwing
+/// field never poisons its stream: every field runs, then the lowest-index
+/// failure is rethrown — what a sequential per-field loop would have raised
+/// first. A task that threw may have left the shared Workspace holding
+/// blocks mid-flight; reset() before the next field reuses it.
+std::vector<std::vector<std::byte>> compress_many_impl(
     std::span<const FieldView> fields, const CompressParams& params,
-    std::size_t streams) {
+    std::vector<StageTimings>* timings, std::size_t streams) {
   const std::size_t nf = fields.size();
-  std::vector<BatchItem> out(nf);
+  std::vector<std::vector<std::byte>> out(nf);
+  std::vector<StageTimings> times(nf);
+  std::vector<std::exception_ptr> errors(nf);
   if (streams == 0)
     streams = std::max<std::size_t>(
         1, dev::ThreadPool::instance().worker_count());
@@ -2202,35 +2203,19 @@ std::vector<BatchItem> compress_many_checked_impl(
 
   for (std::size_t f = 0; f < nf; ++f) {
     dev::Workspace& ws = wss[f % streams];
-    ss[f % streams].submit([f, &ws, fields, params, &out] {
+    ss[f % streams].submit([f, &ws, fields, params, &out, &times, &errors] {
       try {
-        out[f].bytes = compress_typed<float>(fields[f].data, fields[f].dims,
-                                             params, &out[f].timings,
-                                             /*fused=*/true, ws);
+        out[f] = compress_typed<float>(fields[f].data, fields[f].dims, params,
+                                       &times[f], /*fused=*/true, ws);
       } catch (...) {
-        out[f].error = std::current_exception();
+        errors[f] = std::current_exception();
         ws.reset();
       }
     });
   }
   for (auto& s : ss) s.synchronize();
-  return out;
-}
-
-std::vector<std::vector<std::byte>> compress_many_impl(
-    std::span<const FieldView> fields, const CompressParams& params,
-    std::vector<StageTimings>* timings, std::size_t streams) {
-  auto items = compress_many_checked_impl(fields, params, streams);
-  // Legacy contract: the whole batch throws. The lowest-index failure wins,
-  // matching what a sequential per-field loop would have raised first.
-  for (const auto& it : items)
-    if (!it.ok()) std::rethrow_exception(it.error);
-  std::vector<std::vector<std::byte>> out(items.size());
-  std::vector<StageTimings> times(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    out[i] = std::move(items[i].bytes);
-    times[i] = items[i].timings;
-  }
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);
   if (timings) *timings = std::move(times);
   return out;
 }
@@ -2260,21 +2245,6 @@ class Cuszi final : public Compressor {
     for (std::size_t i = 0; i < archives.size(); ++i) {
       out[i].bytes = std::move(archives[i]);
       out[i].timings = times[i];
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::vector<CheckedCompressResult> compress_batch_checked(
-      std::span<const Field> fields, const CompressParams& p) override {
-    std::vector<FieldView> views;
-    views.reserve(fields.size());
-    for (const auto& f : fields) views.push_back({f.view(), f.dims});
-    auto items = compress_many_checked_impl(views, p, /*streams=*/0);
-    std::vector<CheckedCompressResult> out(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      out[i].result.bytes = std::move(items[i].bytes);
-      out[i].result.timings = items[i].timings;
-      out[i].error = items[i].error;
     }
     return out;
   }
@@ -2410,12 +2380,6 @@ std::vector<std::vector<std::byte>> cuszi_compress_many(
     std::span<const FieldView> fields, const CompressParams& params,
     std::vector<StageTimings>* timings, std::size_t streams) {
   return compress_many_impl(fields, params, timings, streams);
-}
-
-std::vector<BatchItem> cuszi_compress_many_checked(
-    std::span<const FieldView> fields, const CompressParams& params,
-    std::size_t streams) {
-  return compress_many_checked_impl(fields, params, streams);
 }
 
 Precision cuszi_archive_precision(std::span<const std::byte> bytes) {

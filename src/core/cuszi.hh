@@ -19,7 +19,6 @@
 // szi::core::CorruptArchive naming the rejecting stage and byte offset.
 #pragma once
 
-#include <exception>
 #include <memory>
 #include <span>
 #include <vector>
@@ -110,34 +109,12 @@ struct FieldView {
 /// field without cross-stream lock contention. `streams == 0` (the default)
 /// sizes the fleet automatically: one stream per pool worker, capped by the
 /// field count. Archives are byte-identical to per-field cuszi_compress()
-/// and returned in input order; the first exception any field raises is
-/// rethrown after all streams drain. `timings` (optional) receives
-/// per-field stage timings.
+/// and returned in input order. A failing field does not stop the others:
+/// every field runs, then the lowest-index failure is rethrown. `timings`
+/// (optional) receives per-field stage timings.
 [[nodiscard]] std::vector<std::vector<std::byte>> cuszi_compress_many(
     std::span<const FieldView> fields, const CompressParams& params,
     std::vector<StageTimings>* timings = nullptr, std::size_t streams = 0);
-
-/// Outcome of one field of a checked batch: either the archive bytes or the
-/// exception that field raised, never both. A failed field is isolated — it
-/// does not poison its stream or drop the wave's other fields.
-struct BatchItem {
-  std::vector<std::byte> bytes;  ///< empty when error is set
-  StageTimings timings;
-  std::exception_ptr error;  ///< null on success
-
-  [[nodiscard]] bool ok() const { return error == nullptr; }
-};
-
-/// Failure-isolated batched compress: like cuszi_compress_many(), but each
-/// field's exception is captured into its BatchItem instead of being
-/// rethrown, so one bad field (NaN range, zero-range Rel bound, ...) fails
-/// only its own slot while every other field still produces its archive —
-/// byte-identical to per-field cuszi_compress(). This is the entry point
-/// the szi::serve scheduler coalesces compress waves onto: a wave member's
-/// failure must fail one request, not the wave.
-[[nodiscard]] std::vector<BatchItem> cuszi_compress_many_checked(
-    std::span<const FieldView> fields, const CompressParams& params,
-    std::size_t streams = 0);
 
 enum class Precision : std::uint8_t { F32 = 0, F64 = 1 };
 

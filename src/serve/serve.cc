@@ -1,14 +1,12 @@
 #include "serve/serve.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <exception>
 #include <utility>
 
 #include "core/cuszi.hh"
 #include "device/arena.hh"
-#include "device/stream.hh"
 #include "device/thread_pool.hh"
 
 namespace szi::serve {
@@ -18,8 +16,8 @@ namespace detail {
 /// One submitted request, shared between its Ticket copies and the service.
 struct RequestState {
   enum class Kind : std::uint8_t {
-    CompressF32,   ///< coalescable: batches into compress_batch waves
-    CompressF64,   ///< direct (the batch front end is f32)
+    CompressF32,  ///< the compress FIFO; every other kind is direct
+    CompressF64,
     DecompressF32,
     DecompressF64,
     Roi,
@@ -38,6 +36,7 @@ struct RequestState {
 
   std::size_t payload_bytes = 0;
   std::size_t ws_estimate = 0;
+  bool over_budget = false;  ///< counted as an admission deferral (mu_)
 
   std::chrono::steady_clock::time_point submitted{};
   std::chrono::steady_clock::time_point dispatched{};
@@ -67,10 +66,9 @@ std::uint32_t peek_magic(std::span<const std::byte> bytes) {
   return magic;
 }
 
-/// Executes one non-coalesced request body (everything except the batched
-/// f32 compress wave): shared by the inline path, the direct-wave stream
-/// tasks, and the single-request fallback. Fills resp.{archive,data,...};
-/// exceptions propagate to the caller, which parks them in the response.
+/// Executes one request body through the direct library call, drawing
+/// scratch from `ws`. Fills resp.{archive,data,...}; exceptions propagate
+/// to the caller, which parks them in the response.
 void run_request_body(RequestState& st, dev::Workspace& ws) {
   switch (st.kind) {
     case Kind::CompressF32:
@@ -110,16 +108,21 @@ void run_request_body(RequestState& st, dev::Workspace& ws) {
   }
 }
 
-const char* describe(const std::exception_ptr& err) {
+std::string describe(const std::exception_ptr& err) {
   try {
     std::rethrow_exception(err);
   } catch (const std::exception& e) {
-    thread_local std::string msg;
-    msg = e.what();
-    return msg.c_str();
+    return e.what();
   } catch (...) {
     return "unknown error";
   }
+}
+
+void stamp_times(RequestState& st) {
+  const auto now = Clock::now();
+  st.resp.queue_seconds = seconds_between(st.submitted, st.dispatched);
+  st.resp.service_seconds = seconds_between(st.dispatched, now);
+  st.resp.total_seconds = seconds_between(st.submitted, now);
 }
 
 }  // namespace
@@ -151,22 +154,29 @@ std::size_t Service::estimate_workspace_bytes(std::size_t payload_bytes) {
 }
 
 Service::Service(ServeConfig cfg) : cfg_(cfg) {
-  cfg_.max_wave = std::max<std::size_t>(1, cfg_.max_wave);
   cfg_.queue_capacity = std::max<std::size_t>(1, cfg_.queue_capacity);
-  inline_ = cfg_.dispatch == ServeConfig::Dispatch::Inline ||
-            (cfg_.dispatch == ServeConfig::Dispatch::Auto &&
-             dev::ThreadPool::instance().worker_count() <= 1);
-  if (!inline_) scheduler_ = std::thread([this] { scheduler_loop(); });
+  const std::size_t n = dev::ThreadPool::instance().worker_count();
+  inline_ = n <= 1;
+  for (std::size_t i = 0; !inline_ && i < n; ++i)
+    free_spaces_.push_back(&spaces_.emplace_back(dev::Arena::shard(i)));
+  try {
+    for (std::size_t i = 0; !inline_ && i < n; ++i)
+      workers_.emplace_back([this] { worker_loop(); });
+  } catch (...) {
+    stop_workers();  // a thread failed to start: join the ones that did
+    throw;
+  }
 }
 
-Service::~Service() {
-  if (inline_) return;
+Service::~Service() { stop_workers(); }
+
+void Service::stop_workers() {
   {
     std::lock_guard lk(mu_);
     stop_ = true;
   }
   cv_work_.notify_all();
-  scheduler_.join();
+  for (auto& w : workers_) w.join();
 }
 
 Ticket Service::submit_compress(std::string tenant, std::span<const float> data,
@@ -241,8 +251,8 @@ Ticket Service::enqueue(ReqPtr req) {
   }
 
   // Admission control, Reject flavor: fail fast when the pooled arenas plus
-  // the estimated in-flight work would breach the budget. Queue flavor
-  // defers the decision to the scheduler (which can trim and split waves).
+  // the estimated in-flight work would breach the budget. The Queue flavor
+  // decides at dispatch (admit()).
   if (cfg_.workspace_budget_bytes > 0 &&
       cfg_.over_budget == ServeConfig::OverBudget::Reject) {
     std::size_t inflight_est;
@@ -268,247 +278,144 @@ Ticket Service::enqueue(ReqPtr req) {
   }
 
   if (inline_) {
-    execute_inline(req);
+    // The caller's thread is the worker. There is no queue to hold the
+    // request in, so an over-budget request only trims the pools.
+    {
+      std::lock_guard lk(mu_);
+      (void)admit(*req);
+      mark_dispatched(req);
+    }
+    dev::Workspace ws(dev::Arena::instance());
+    run(req, ws);
     return Ticket(std::move(req));
   }
 
   {
     std::unique_lock lk(mu_);
-    // Backpressure: a full queue blocks the submitter until the scheduler
-    // retires work. Tenants pushing an open-loop overload are slowed at
-    // the door instead of ballooning the queue.
-    cv_space_.wait(lk, [&] { return queued_ < cfg_.queue_capacity || stop_; });
-    // f32 compresses always queue by wave key; with coalescing off,
-    // pop_wave() caps their waves at one request (the ablation's shape).
-    if (req->kind == Kind::CompressF32) {
-      const WaveKey key{
-          static_cast<unsigned>(std::bit_width(req->payload_bytes)),
-          static_cast<int>(req->params.mode), req->params.value};
-      compress_q_[key].push_back(req);
-    } else {
-      direct_q_.push_back(req);
-    }
-    ++queued_;
+    // Backpressure: a full queue blocks the submitter until a worker takes
+    // a request. Tenants pushing an open-loop overload are slowed at the
+    // door instead of ballooning the queue.
+    cv_space_.wait(lk, [&] {
+      return direct_q_.size() + compress_q_.size() < cfg_.queue_capacity ||
+             stop_;
+    });
+    (req->kind == Kind::CompressF32 ? compress_q_ : direct_q_).push_back(req);
   }
   cv_work_.notify_one();
   return Ticket(std::move(req));
 }
 
-void Service::execute_inline(const ReqPtr& req) {
-  req->dispatched = Clock::now();
-  // Queue-flavor budget on the inline path: trim pooled pages before a
-  // request that would breach the cap (there is nothing in flight to wait
-  // for on a single-core host).
-  if (cfg_.workspace_budget_bytes > 0 &&
-      cfg_.over_budget == ServeConfig::OverBudget::Queue) {
-    const std::size_t held = dev::Arena::aggregate_stats().held_bytes;
-    if (held + req->ws_estimate > cfg_.workspace_budget_bytes) {
-      dev::Arena::trim_all();
-      std::lock_guard lk(stats_mu_);
-      ++stats_.admission_deferrals;
-    }
+bool Service::admit(RequestState& req) {
+  if (cfg_.workspace_budget_bytes == 0 ||
+      cfg_.over_budget != ServeConfig::OverBudget::Queue)
+    return true;
+  const auto fits = [&] {
+    return dev::Arena::aggregate_stats().held_bytes + inflight_estimate_ +
+               req.ws_estimate <=
+           cfg_.workspace_budget_bytes;
+  };
+  if (fits()) return true;
+  if (!req.over_budget) {
+    req.over_budget = true;
+    std::lock_guard lk(stats_mu_);
+    ++stats_.admission_deferrals;
   }
-  dev::Workspace ws(dev::Arena::instance());
+  dev::Arena::trim_all();
+  return fits() || inflight_ == 0;
+}
+
+Service::ReqPtr Service::next_request(std::unique_lock<std::mutex>& lk) {
+  for (;;) {
+    auto& q = direct_q_.empty() ? compress_q_ : direct_q_;
+    if (q.empty()) {
+      if (stop_) return nullptr;
+    } else if (admit(*q.front())) {
+      ReqPtr req = std::move(q.front());
+      q.pop_front();
+      return req;
+    }
+    cv_work_.wait(lk);
+  }
+}
+
+void Service::mark_dispatched(const ReqPtr& req) {
+  // Caller holds mu_. The dispatch counter lands before the request can
+  // retire, so stats() after drain() sees every dispatched request.
+  req->dispatched = Clock::now();
+  ++inflight_;
+  inflight_estimate_ += req->ws_estimate;
+  std::lock_guard lk(stats_mu_);
+  ++stats_.waves;
+  stats_.peak_inflight_estimate =
+      std::max(stats_.peak_inflight_estimate, inflight_estimate_);
+}
+
+void Service::worker_loop() {
+  for (;;) {
+    ReqPtr req;
+    dev::Workspace* ws = nullptr;
+    {
+      std::unique_lock lk(mu_);
+      req = next_request(lk);
+      if (!req) return;
+      mark_dispatched(req);
+      ws = free_spaces_.back();
+      free_spaces_.pop_back();
+    }
+    cv_space_.notify_one();
+    run(req, *ws);
+    std::lock_guard lk(mu_);
+    free_spaces_.push_back(ws);
+  }
+}
+
+void Service::run(const ReqPtr& req, dev::Workspace& ws) {
   try {
     run_request_body(*req, ws);
   } catch (...) {
     req->resp.status = Status::Failed;
     req->resp.error = describe(std::current_exception());
+    // The failed body may have left blocks mid-flight in the workspace.
+    ws.reset();
   }
+  stamp_times(*req);
   {
     std::lock_guard lk(stats_mu_);
-    ++stats_.waves;
+    ++stats_.completed;
+    auto& t = tenants_[req->tenant];
+    ++t.requests;
+    if (req->resp.status == Status::Failed) {
+      ++stats_.failed;
+      ++t.failed;
+    }
+    t.bytes_in += req->resp.bytes_in;
+    t.bytes_out += req->resp.bytes_out;
+    t.busy_seconds += req->resp.service_seconds;
+    t.queue_seconds += req->resp.queue_seconds;
   }
-  finish(req);
-}
-
-std::vector<Service::ReqPtr> Service::pop_wave() {
-  // Caller holds mu_. Direct requests first (decompress/ROI/f64 — usually
-  // cheaper and latency-sensitive), then the deepest compress class.
-  std::vector<ReqPtr> wave;
-  if (!direct_q_.empty()) {
-    const std::size_t n = std::min(cfg_.max_wave, direct_q_.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      wave.push_back(std::move(direct_q_.front()));
-      direct_q_.pop_front();
-    }
-  } else {
-    auto best = compress_q_.end();
-    for (auto it = compress_q_.begin(); it != compress_q_.end(); ++it)
-      if (best == compress_q_.end() || it->second.size() > best->second.size())
-        best = it;
-    if (best != compress_q_.end()) {
-      const std::size_t limit = cfg_.coalesce ? cfg_.max_wave : 1;
-      const std::size_t n = std::min(limit, best->second.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        wave.push_back(std::move(best->second.front()));
-        best->second.pop_front();
-      }
-      if (best->second.empty()) compress_q_.erase(best);
-    }
-  }
-  queued_ -= wave.size();
-  inflight_ += wave.size();
-  for (const auto& r : wave) inflight_estimate_ += r->ws_estimate;
-  {
-    std::lock_guard lk(stats_mu_);
-    stats_.peak_inflight_estimate =
-        std::max(stats_.peak_inflight_estimate, inflight_estimate_);
-  }
-  return wave;
-}
-
-void Service::scheduler_loop() {
-  for (;;) {
-    std::vector<ReqPtr> wave;
-    {
-      std::unique_lock lk(mu_);
-      cv_work_.wait(lk, [&] { return queued_ > 0 || stop_; });
-      if (queued_ == 0 && stop_) return;
-      wave = pop_wave();
-    }
-    cv_space_.notify_all();
-    if (wave.empty()) continue;
-
-    // Admission control, Queue flavor: when dispatching the wave would push
-    // the pooled-arena footprint past the budget, first release idle pooled
-    // pages (trim), then shrink the wave to what fits — held-back requests
-    // go back to the queue head. A lone request always dispatches: holding
-    // it with nothing in flight would starve the service.
-    if (cfg_.workspace_budget_bytes > 0 &&
-        cfg_.over_budget == ServeConfig::OverBudget::Queue) {
-      std::size_t est = 0;
-      for (const auto& r : wave) est += r->ws_estimate;
-      std::size_t held = dev::Arena::aggregate_stats().held_bytes;
-      if (held + est > cfg_.workspace_budget_bytes) {
-        dev::Arena::trim_all();
-        held = dev::Arena::aggregate_stats().held_bytes;
-      }
-      std::size_t deferred = 0;
-      while (wave.size() > 1 && held + est > cfg_.workspace_budget_bytes) {
-        ReqPtr back = std::move(wave.back());
-        wave.pop_back();
-        est -= back->ws_estimate;
-        ++deferred;
-        std::lock_guard lk(mu_);
-        inflight_estimate_ -= back->ws_estimate;
-        --inflight_;
-        ++queued_;
-        if (back->kind == Kind::CompressF32) {
-          const WaveKey key{
-              static_cast<unsigned>(std::bit_width(back->payload_bytes)),
-              static_cast<int>(back->params.mode), back->params.value};
-          compress_q_[key].push_front(std::move(back));
-        } else {
-          direct_q_.push_front(std::move(back));
-        }
-      }
-      if (deferred > 0) {
-        std::lock_guard lk(stats_mu_);
-        stats_.admission_deferrals += deferred;
-      }
-    }
-
-    const auto now = Clock::now();
-    for (const auto& r : wave) r->dispatched = now;
-    if (wave.front()->kind == Kind::CompressF32)
-      run_compress_wave(wave);
-    else
-      run_direct_wave(wave);
-
-    // Wave counters must land before drain() can wake: a caller reading
-    // stats() right after drain() must see every retired wave.
-    {
-      std::lock_guard lk(stats_mu_);
-      ++stats_.waves;
-      if (wave.size() > 1 && wave.front()->kind == Kind::CompressF32)
-        stats_.coalesced += wave.size();
-    }
-    {
-      std::lock_guard lk(mu_);
-      for (const auto& r : wave) inflight_estimate_ -= r->ws_estimate;
-      inflight_ -= wave.size();
-    }
-    cv_drain_.notify_all();
-  }
-}
-
-void Service::run_compress_wave(const std::vector<ReqPtr>& wave) {
-  std::vector<FieldView> views;
-  views.reserve(wave.size());
-  for (const auto& r : wave) views.push_back({r->f32, r->dims});
-  // All wave members share params by construction of the wave key.
-  auto items = cuszi_compress_many_checked(views, wave.front()->params);
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    if (items[i].ok()) {
-      wave[i]->resp.archive = std::move(items[i].bytes);
-      wave[i]->resp.bytes_out = wave[i]->resp.archive.size();
-    } else {
-      wave[i]->resp.status = Status::Failed;
-      wave[i]->resp.error = describe(items[i].error);
-    }
-    finish(wave[i]);
-  }
-}
-
-void Service::run_direct_wave(const std::vector<ReqPtr>& wave) {
-  // Mirror of the batch pipeline's stream fan-out: one in-order stream per
-  // pool worker (capped by the wave), each with a Workspace over its own
-  // arena shard. Exceptions are per-request — caught inside the task, so a
-  // failing decode never poisons its stream's later requests.
-  const std::size_t n = std::min<std::size_t>(
-      wave.size(),
-      std::max<std::size_t>(1, dev::ThreadPool::instance().worker_count()));
-  std::deque<dev::Stream> ss(n);
-  std::deque<dev::Workspace> wss;
-  for (std::size_t s = 0; s < n; ++s) wss.emplace_back(dev::Arena::shard(s));
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    RequestState* req = wave[i].get();
-    dev::Workspace& ws = wss[i % n];
-    ss[i % n].submit([req, &ws] {
-      try {
-        run_request_body(*req, ws);
-      } catch (...) {
-        req->resp.status = Status::Failed;
-        req->resp.error = describe(std::current_exception());
-        ws.reset();
-      }
-    });
-  }
-  for (auto& s : ss) s.synchronize();
-  for (const auto& r : wave) finish(r);
-}
-
-void Service::finish(const ReqPtr& req) {
-  const auto now = Clock::now();
-  req->resp.queue_seconds = seconds_between(req->submitted, req->dispatched);
-  req->resp.service_seconds = seconds_between(req->dispatched, now);
-  req->resp.total_seconds = seconds_between(req->submitted, now);
-  account_finish(req);
   {
     std::lock_guard lk(req->mu);
     req->done = true;
   }
   req->cv.notify_all();
-}
 
-void Service::account_finish(const ReqPtr& req) {
-  std::lock_guard lk(stats_mu_);
-  ++stats_.completed;
-  if (req->resp.status == Status::Failed) ++stats_.failed;
-  auto& t = tenants_[req->tenant];
-  ++t.requests;
-  if (req->resp.status == Status::Failed) ++t.failed;
-  t.bytes_in += req->resp.bytes_in;
-  t.bytes_out += req->resp.bytes_out;
-  t.busy_seconds += req->resp.service_seconds;
-  t.queue_seconds += req->resp.queue_seconds;
+  bool idle;
+  {
+    std::lock_guard lk(mu_);
+    --inflight_;
+    inflight_estimate_ -= req->ws_estimate;
+    idle = inflight_ == 0 && direct_q_.empty() && compress_q_.empty();
+  }
+  // A head held for budget may fit now that this request retired.
+  if (cfg_.workspace_budget_bytes > 0) cv_work_.notify_all();
+  if (idle) cv_drain_.notify_all();
 }
 
 void Service::drain() {
-  if (inline_) return;
   std::unique_lock lk(mu_);
-  cv_drain_.wait(lk, [&] { return queued_ == 0 && inflight_ == 0; });
+  cv_drain_.wait(lk, [&] {
+    return inflight_ == 0 && direct_q_.empty() && compress_q_.empty();
+  });
 }
 
 ServiceStats Service::stats() const {

@@ -1,36 +1,36 @@
-// szi::serve — a batched multi-tenant compression service over the
-// Stream/Arena substrate.
+// szi::serve — a multi-tenant compression service over the Arena
+// substrate.
 //
 // The one-shot CLI and library entry points serve exactly one request at a
-// time; a fleet-scale deployment sees thousands of concurrent
-// compress/decompress/ROI requests for fields of wildly mixed sizes. What
-// unlocks throughput there is not per-field micro-optimization but
-// coarse-grained batching (cuSZ+, Tian et al. 2021): amortizing scheduling,
-// keeping arena pages warm across requests of similar size, and running
-// whole waves through the pipelined batch front end. The Service implements
-// that shape on the host:
+// time; a deployment sees many concurrent compress/decompress/ROI requests
+// for fields of mixed sizes. The Service takes them from any number of
+// tenant threads and runs them on a fixed set of workers:
 //
-//   submit_*()  --> bounded queues (backpressure: submit blocks when full)
-//                     | compress requests shard by size class + params
-//                     | decompress/ROI requests queue separately
-//   scheduler   --> coalesces same-class compress requests into
-//                   compress_batch waves (cuszi_compress_many_checked);
-//                   fans decompress/ROI waves across dev::Streams with
-//                   per-shard Workspaces
-//   admission   --> a wave is held (or a request rejected, per config)
-//                   when the pooled-arena high-water would exceed the
-//                   configured workspace budget
+//   submit_*()  --> bounded queue (backpressure: submit blocks when full),
+//                   two FIFOs: decompress/ROI/f64 requests, then f32
+//                   compresses — a worker always takes the direct FIFO's
+//                   head first, so a burst of compresses never delays the
+//                   cheaper, latency-sensitive reads
+//   workers     --> worker_count() threads started with the service, each
+//                   running one request at a time through the direct
+//                   library call on a borrowed shard-local Workspace
+//   admission   --> over the workspace budget a request is rejected at
+//                   submit (Reject) or held at the queue head until it fits
+//                   or nothing is in flight (Queue)
 //
-// Outputs are byte-identical to the direct Compressor/library calls — the
-// scheduler only changes *when* work runs, never *what* runs (the worker-
-// count determinism suite and bench/serve_load's golden pinning enforce
-// this). On a single-core host the service degrades gracefully to inline
-// execution: submit() runs the request synchronously on the caller's
-// thread, no scheduler thread, no queues, same bytes.
+// GPU batch front ends (cuSZ+, Tian et al. 2021) coalesce requests to
+// amortize kernel-launch cost; host threads pay no such cost, so every
+// request is dispatched on its own and a long compress occupies one worker,
+// not the service.
+//
+// Outputs are byte-identical to the direct library calls — the service only
+// changes *when* work runs, never *what* runs (test_serve and
+// bench/serve_load's worker-count sweep enforce this). At one pool worker
+// the service runs inline: submit() executes the request on the caller's
+// thread, with no worker threads and no queue, same bytes.
 //
 // Failure isolation: one bad field fails only its own request
-// (Status::Failed with the exception text); the rest of its wave completes
-// normally via the checked batch API.
+// (Status::Failed with the exception text); every other request completes.
 #pragma once
 
 #include <chrono>
@@ -47,43 +47,30 @@
 #include <vector>
 
 #include "core/compressor_iface.hh"
+#include "device/arena.hh"
 #include "device/dims.hh"
 
 namespace szi::serve {
 
 struct ServeConfig {
-  /// Maximum compress requests coalesced into one compress_batch wave (and
-  /// the decompress/ROI wave width). 1 disables wave formation.
-  std::size_t max_wave = 8;
-
-  /// Coalesce same-size-class compress requests into batch waves. Off, each
-  /// request becomes its own single-field wave (the bench's uncoalesced
-  /// ablation).
-  bool coalesce = true;
-
-  /// Total queued requests across all queues before submit() blocks — the
+  /// Total queued requests across both FIFOs before submit() blocks — the
   /// backpressure bound that keeps an open-loop overload from ballooning
   /// memory. Must be >= 1.
   std::size_t queue_capacity = 1024;
 
   /// Workspace budget for admission control, in bytes; 0 = unlimited.
-  /// Budgeted against the pooled arenas' held bytes (Arena::aggregate_stats
-  /// held_bytes / high_water_bytes) plus the estimated footprint of
-  /// in-flight waves.
+  /// Budgeted against the pooled arenas' held bytes
+  /// (Arena::aggregate_stats().held_bytes) plus the estimated footprint of
+  /// the requests in flight.
   std::size_t workspace_budget_bytes = 0;
 
-  /// Over-budget behavior. Queue: the scheduler holds the wave until
-  /// in-flight work retires (a lone wave always dispatches — holding it
-  /// with nothing in flight would starve). Reject: submit() fails the
-  /// request immediately with Status::Rejected, never blocking on budget.
+  /// Over-budget behavior. Queue: trim the pools, then hold the queue head
+  /// until it fits or nothing is in flight (a lone request always
+  /// dispatches — holding it with nothing in flight would starve). Reject:
+  /// submit() fails the request immediately with Status::Rejected, never
+  /// blocking on budget.
   enum class OverBudget { Queue, Reject };
   OverBudget over_budget = OverBudget::Queue;
-
-  /// Execution mode. Auto picks Inline when the thread pool has one worker
-  /// (single-core host: a scheduler thread would only add context switches
-  /// and latency) and Scheduler otherwise.
-  enum class Dispatch { Auto, Scheduler, Inline };
-  Dispatch dispatch = Dispatch::Auto;
 };
 
 enum class Status : std::uint8_t { Ok, Rejected, Failed };
@@ -99,8 +86,8 @@ struct Response {
   std::vector<double> data_f64;    ///< f64 decompress output
   std::size_t bytes_in = 0;
   std::size_t bytes_out = 0;
-  double queue_seconds = 0;    ///< submit -> wave dispatch
-  double service_seconds = 0;  ///< wave dispatch -> completion
+  double queue_seconds = 0;    ///< submit -> dispatch
+  double service_seconds = 0;  ///< dispatch -> completion
   double total_seconds = 0;    ///< submit -> completion
 };
 
@@ -147,9 +134,13 @@ struct ServiceStats {
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;
   std::uint64_t failed = 0;
-  std::uint64_t waves = 0;      ///< batches dispatched
-  std::uint64_t coalesced = 0;  ///< compress requests that shared a wave
-  std::uint64_t admission_deferrals = 0;  ///< waves held for budget
+  std::uint64_t waves = 0;  ///< requests dispatched to a worker (or inline)
+  /// Always 0: requests are never batched. Kept for readers of the
+  /// earlier wave-coalescing counters.
+  std::uint64_t coalesced = 0;
+  /// Requests found over the workspace budget at dispatch (Queue flavor):
+  /// each trimmed the pools and, with work in flight, waited for it.
+  std::uint64_t admission_deferrals = 0;
   std::uint64_t admission_rejects = 0;    ///< requests rejected for budget
   std::size_t peak_inflight_estimate = 0;  ///< estimator bytes, peak
   /// Arena::aggregate_stats().high_water_bytes at the time of the call —
@@ -157,8 +148,8 @@ struct ServiceStats {
   std::size_t arena_high_water_bytes = 0;
 };
 
-/// The service. One instance owns one scheduler thread (or none, inline
-/// mode) and serves any number of concurrently submitting tenants.
+/// The service. One instance owns worker_count() worker threads (none in
+/// inline mode) and serves any number of concurrently submitting tenants.
 ///
 /// Lifetime: request payloads (`data`, `archive` spans) are borrowed — the
 /// caller must keep them alive until the request's ticket completes.
@@ -179,8 +170,8 @@ class Service {
                                        const dev::Dim3& dims,
                                        const CompressParams& params);
 
-  /// Compress an f64 field. f64 requests are not coalesced (the batch
-  /// front end is f32); they dispatch as single-request waves.
+  /// Compress an f64 field. f64 compresses share the direct FIFO with the
+  /// decompress/ROI requests.
   [[nodiscard]] Ticket submit_compress_f64(std::string tenant,
                                            std::span<const double> data,
                                            const dev::Dim3& dims,
@@ -201,8 +192,8 @@ class Service {
   /// Blocks until every accepted request has completed.
   void drain();
 
-  /// True when this instance executes requests inline (single-core host or
-  /// Dispatch::Inline).
+  /// True when this instance executes requests inline on the submitting
+  /// thread: exactly when the thread pool has at most one worker.
   [[nodiscard]] bool inline_mode() const { return inline_; }
 
   [[nodiscard]] ServiceStats stats() const;
@@ -220,45 +211,44 @@ class Service {
  private:
   using ReqPtr = std::shared_ptr<detail::RequestState>;
 
-  /// Compress coalescing key: same size class (log2 bucket of the raw
-  /// payload) + identical params batch together.
-  struct WaveKey {
-    unsigned size_class;
-    int mode;
-    double value;
-    auto operator<=>(const WaveKey&) const = default;
-  };
-
   Ticket enqueue(ReqPtr req);
-  void execute_inline(const ReqPtr& req);
-  void scheduler_loop();
-  /// Pops the next wave (same-key compress requests up to max_wave, or a
-  /// batch of direct requests) under mu_. Empty when nothing is queued.
-  std::vector<ReqPtr> pop_wave();
-  void run_compress_wave(const std::vector<ReqPtr>& wave);
-  void run_direct_wave(const std::vector<ReqPtr>& wave);
-  void finish(const ReqPtr& req);
-  void account_finish(const ReqPtr& req);
+  /// Stops the workers once the queue is empty and joins them.
+  void stop_workers();
+  void worker_loop();
+  /// Pops the next request to run, or null once stopped and empty. Takes
+  /// the direct FIFO's head before the compress FIFO's and holds an
+  /// over-budget head (Queue flavor) while work is in flight.
+  ReqPtr next_request(std::unique_lock<std::mutex>& lk);
+  /// Queue-flavor admission for `req` under mu_: trims the pools when it is
+  /// over budget; false while it still does not fit and work is in flight.
+  bool admit(detail::RequestState& req);
+  void mark_dispatched(const ReqPtr& req);
+  void run(const ReqPtr& req, dev::Workspace& ws);
 
   ServeConfig cfg_;
   bool inline_ = false;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_work_;   ///< scheduler: queues non-empty / stop
+  std::condition_variable cv_work_;   ///< workers: work queued / retired / stop
   std::condition_variable cv_space_;  ///< submitters: queue has capacity
   std::condition_variable cv_drain_;  ///< drain(): all work retired
-  std::map<WaveKey, std::deque<ReqPtr>> compress_q_;
-  std::deque<ReqPtr> direct_q_;  ///< decompress / ROI / f64 compress
-  std::size_t queued_ = 0;
+  std::deque<ReqPtr> direct_q_;    ///< decompress / ROI / f64 compress
+  std::deque<ReqPtr> compress_q_;  ///< f32 compress
   std::size_t inflight_ = 0;           ///< requests dispatched, not finished
   std::size_t inflight_estimate_ = 0;  ///< estimator bytes in flight
   bool stop_ = false;
+  /// One Workspace per worker, each over its own arena shard so workers
+  /// never contend on one free list. A worker borrows the most recently
+  /// returned one: at low load successive requests reuse the same warm
+  /// pages instead of faulting in a cold shard per worker.
+  std::deque<dev::Workspace> spaces_;
+  std::vector<dev::Workspace*> free_spaces_;  ///< (mu_) last = warmest
 
   mutable std::mutex stats_mu_;
   ServiceStats stats_;
   std::map<std::string, TenantStats> tenants_;
 
-  std::thread scheduler_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace szi::serve

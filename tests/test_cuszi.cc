@@ -2,6 +2,7 @@
 // error-bound modes, archive robustness, and the de-redundancy wrapper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "core/cuszi.hh"
@@ -52,6 +53,20 @@ TEST(Cuszi, RejectsFixedRate) {
   const auto f = small_field("qmcpack");
   EXPECT_THROW((void)c->compress(f, {ErrorMode::FixedRate, 4.0}),
                std::invalid_argument);
+
+  // The batch front end rejects an invalid field mid-batch too: every field
+  // runs, then the failure is rethrown — also when the next field shares
+  // the failing field's stream. Constant field + Rel mode: zero value
+  // range -> non-positive abs bound.
+  szi::Field constant = f;
+  std::fill(constant.data.begin(), constant.data.end(), 42.f);
+  const std::vector<szi::FieldView> views{{f.view(), f.dims},
+                                          {constant.view(), constant.dims},
+                                          {f.view(), f.dims}};
+  for (std::size_t streams : {std::size_t{1}, std::size_t{2}})
+    EXPECT_THROW((void)szi::cuszi_compress_many(
+                     views, {ErrorMode::Rel, 1e-3}, nullptr, streams),
+                 std::invalid_argument);
 }
 
 TEST(Cuszi, ThrowsOnCorruptArchive) {
@@ -121,40 +136,5 @@ INSTANTIATE_TEST_SUITE_P(
     AllDatasets, CusziDatasetSweep,
     ::testing::Combine(::testing::ValuesIn(szi::datagen::dataset_names()),
                        ::testing::Values(1e-2, 1e-3, 1e-4)));
-
-// A corrupt field mid-batch must fail only its own slot: every other field
-// still produces an archive byte-identical to its per-field compress, on
-// every worker count (the field after the corrupt one shares its stream).
-TEST(CusziBatchChecked, CorruptFieldMidBatchIsIsolated) {
-  const auto f = small_field("miranda");
-  szi::Field corrupt = f;
-  std::fill(corrupt.data.begin(), corrupt.data.end(), 42.f);
-  // Constant field + Rel mode: zero value range -> non-positive abs bound.
-  const CompressParams p{ErrorMode::Rel, 1e-3};
-  const std::vector<szi::FieldView> views{{f.view(), f.dims},
-                                          {corrupt.view(), corrupt.dims},
-                                          {f.view(), f.dims},
-                                          {f.view(), f.dims}};
-  const auto direct = szi::cuszi_compress(f.view(), f.dims, p);
-
-  for (std::size_t streams : {std::size_t{1}, std::size_t{2}}) {
-    const auto items = szi::cuszi_compress_many_checked(views, p, streams);
-    ASSERT_EQ(items.size(), views.size());
-    EXPECT_TRUE(items[0].ok());
-    EXPECT_FALSE(items[1].ok());
-    EXPECT_TRUE(items[2].ok());  // same stream as the corrupt field
-    EXPECT_TRUE(items[3].ok());
-    EXPECT_EQ(items[0].bytes, direct);
-    EXPECT_EQ(items[2].bytes, direct);
-    EXPECT_EQ(items[3].bytes, direct);
-    EXPECT_TRUE(items[1].bytes.empty());
-    EXPECT_THROW(std::rethrow_exception(items[1].error),
-                 std::invalid_argument);
-  }
-
-  // The unchecked API keeps its legacy contract: first failure rethrows.
-  EXPECT_THROW((void)szi::cuszi_compress_many(views, p),
-               std::invalid_argument);
-}
 
 }  // namespace

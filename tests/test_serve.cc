@@ -1,11 +1,15 @@
-// szi::serve — the batched multi-tenant service must change *when* work
-// runs, never *what* runs: every response here is checked byte-for-byte
-// against the direct library call. The concurrency tests (concurrent
-// submit/drain, backpressure) are the tsan targets; the admission and
-// failure-isolation tests pin the scheduler's control decisions.
+// szi::serve — the multi-tenant service must change *when* work runs,
+// never *what* runs: every response here is checked byte-for-byte against
+// the direct library call. The concurrency tests (concurrent submit/drain,
+// backpressure, a decompress overtaking a running compress) are the tsan
+// targets; the admission and failure-isolation tests pin the workers'
+// control decisions. The serve_1thread and serve_4threads ctest instances
+// run this suite inline and with four workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -97,13 +101,14 @@ TEST(Serve, F64RoundTripThroughService) {
 }
 
 TEST(Serve, InlineModeProducesIdenticalBytes) {
-  ServeConfig cfg;
-  cfg.dispatch = ServeConfig::Dispatch::Inline;
-  Service svc(cfg);
-  EXPECT_TRUE(svc.inline_mode());
+  Service svc;
+  EXPECT_EQ(svc.inline_mode(),
+            dev::ThreadPool::instance().worker_count() <= 1);
   const Field f = small_field();
   auto t = svc.submit_compress("t0", f.view(), f.dims, rel3());
-  EXPECT_TRUE(t.ready());  // inline: completed inside submit()
+  if (svc.inline_mode()) {
+    EXPECT_TRUE(t.ready());  // completed inside submit()
+  }
   const auto& r = t.wait();
   ASSERT_EQ(r.status, Status::Ok) << r.error;
   EXPECT_EQ(r.archive, cuszi_compress(f.view(), f.dims, rel3()));
@@ -111,36 +116,27 @@ TEST(Serve, InlineModeProducesIdenticalBytes) {
   EXPECT_EQ(td.wait().data, cuszi_decompress_f32(r.archive));
 }
 
-TEST(Serve, CoalescesSameSizeClassRequests) {
-  ServeConfig cfg;
-  cfg.dispatch = ServeConfig::Dispatch::Scheduler;
-  cfg.max_wave = 8;
-  Service svc(cfg);
-  // Park the scheduler on a big field; the small same-class requests that
-  // arrive meanwhile must leave the queue as one coalesced wave.
-  const Field big = small_field(96, 96, 96);
-  const Field small = small_field();
-  std::vector<Ticket> tickets;
-  tickets.push_back(svc.submit_compress("t0", big.view(), big.dims, rel3()));
-  for (int i = 0; i < 8; ++i)
-    tickets.push_back(
-        svc.submit_compress("t0", small.view(), small.dims, rel3()));
-  for (auto& t : tickets) ASSERT_EQ(t.wait().status, Status::Ok);
-  svc.drain();
-  const auto s = svc.stats();
-  EXPECT_EQ(s.submitted, 9u);
-  EXPECT_EQ(s.completed, 9u);
-  EXPECT_GT(s.coalesced, 0u);
-  EXPECT_LT(s.waves, s.submitted);
-  // Coalesced or not, bytes match the direct call.
-  EXPECT_EQ(tickets[1].wait().archive,
-            cuszi_compress(small.view(), small.dims, rel3()));
+TEST(Serve, SmallDecompressCompletesWhileBigCompressRuns) {
+  if (dev::ThreadPool::instance().worker_count() < 2)
+    GTEST_SKIP() << "needs two workers; inline mode runs one request at a time";
+  Service svc;
+  const Field big = small_field(256, 256, 256);
+  const Field f = small_field();
+  const auto archive = cuszi_compress(f.view(), f.dims, rel3());
+  auto tc = svc.submit_compress("t0", big.view(), big.dims, rel3());
+  // Let a worker take the compress before the decompress arrives.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  auto td = svc.submit_decompress("t0", archive);
+  while (!td.ready()) std::this_thread::yield();
+  // A free worker served the decompress; it did not queue behind the
+  // compress.
+  EXPECT_FALSE(tc.ready());
+  EXPECT_EQ(td.wait().data, cuszi_decompress_f32(archive));
+  EXPECT_EQ(tc.wait().status, Status::Ok);
 }
 
-TEST(Serve, FailedRequestDoesNotPoisonItsWave) {
-  ServeConfig cfg;
-  cfg.dispatch = ServeConfig::Dispatch::Scheduler;
-  Service svc(cfg);
+TEST(Serve, FailedRequestFailsOnlyItself) {
+  Service svc;
   const Field big = small_field(96, 96, 96);
   const Field good = small_field();
   Field corrupt = small_field();  // same size class as `good`
@@ -181,12 +177,10 @@ TEST(Serve, AdmissionRejectModeRejectsOverBudget) {
   EXPECT_EQ(svc.tenant_stats("t0").rejected, 1u);
 }
 
-TEST(Serve, AdmissionQueueModeSplitsWavesButCompletesAll) {
+TEST(Serve, AdmissionQueueModeHoldsOverBudgetButCompletesAll) {
   ServeConfig cfg;
-  cfg.dispatch = ServeConfig::Dispatch::Scheduler;
-  cfg.workspace_budget_bytes = 1;  // every wave over budget
+  cfg.workspace_budget_bytes = 1;  // every request over budget
   cfg.over_budget = ServeConfig::OverBudget::Queue;
-  cfg.max_wave = 8;
   Service svc(cfg);
   const Field big = small_field(96, 96, 96);
   const Field small = small_field();
@@ -197,14 +191,23 @@ TEST(Serve, AdmissionQueueModeSplitsWavesButCompletesAll) {
         svc.submit_compress("t0", small.view(), small.dims, rel3()));
   for (auto& t : tickets) {
     const auto& r = t.wait();
-    ASSERT_EQ(r.status, Status::Ok) << r.error;  // lone waves always dispatch
+    ASSERT_EQ(r.status, Status::Ok) << r.error;
   }
   svc.drain();
   const auto s = svc.stats();
   EXPECT_EQ(s.completed, 7u);
-  EXPECT_GT(s.admission_deferrals, 0u);  // over-budget waves were split
+  EXPECT_EQ(s.admission_deferrals, 7u);  // each one found over budget
+  // Held until nothing else was in flight: one request at a time.
+  EXPECT_EQ(s.peak_inflight_estimate,
+            Service::estimate_workspace_bytes(big.bytes()));
   EXPECT_EQ(tickets[1].wait().archive,
             cuszi_compress(small.view(), small.dims, rel3()));
+
+  // A lone over-budget request still dispatches.
+  Service lone(cfg);
+  const auto t = lone.submit_compress("t0", small.view(), small.dims, rel3());
+  EXPECT_EQ(t.wait().status, Status::Ok) << t.wait().error;
+  EXPECT_EQ(lone.stats().admission_deferrals, 1u);
 }
 
 TEST(Serve, ConcurrentSubmitAndDrainFromManyTenants) {
@@ -286,20 +289,6 @@ TEST(Serve, DestructionDrainsAcceptedRequests) {
     EXPECT_TRUE(t.ready());
     EXPECT_EQ(t.wait().status, Status::Ok);
   }
-}
-
-TEST(Serve, UncoalescedAblationStillByteIdentical) {
-  ServeConfig cfg;
-  cfg.coalesce = false;
-  Service svc(cfg);
-  const Field f = small_field();
-  std::vector<Ticket> tickets;
-  for (int i = 0; i < 4; ++i)
-    tickets.push_back(svc.submit_compress("t0", f.view(), f.dims, rel3()));
-  const auto direct = cuszi_compress(f.view(), f.dims, rel3());
-  for (auto& t : tickets) EXPECT_EQ(t.wait().archive, direct);
-  svc.drain();
-  EXPECT_EQ(svc.stats().coalesced, 0u);
 }
 
 }  // namespace
