@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "core/cuszi.hh"
@@ -67,6 +69,48 @@ TEST(Cuszi, RejectsFixedRate) {
     EXPECT_THROW((void)szi::cuszi_compress_many(
                      views, {ErrorMode::Rel, 1e-3}, nullptr, streams),
                  std::invalid_argument);
+}
+
+// Every field of a batch runs, then the lowest-index failure is rethrown,
+// whichever stream ran it. The failing fields' workspaces are reset, so a
+// later batch over the same arena shards is byte-identical to per-field
+// compress.
+TEST(CusziBatch, RethrowsLowestIndexFailureAndKeepsPoolsClean) {
+  const auto f = small_field("miranda");
+  szi::Field constant = f;  // Rel mode: zero value range -> bound <= 0
+  std::fill(constant.data.begin(), constant.data.end(), 42.f);
+  const szi::FieldView mismatch{f.view().first(f.size() - 1), f.dims};
+  const szi::FieldView good{f.view(), f.dims};
+  const szi::FieldView bad_bound{constant.view(), constant.dims};
+  const CompressParams p{ErrorMode::Rel, 1e-3};
+
+  const auto first_error = [&](const std::vector<szi::FieldView>& views,
+                               std::size_t streams) -> std::string {
+    try {
+      (void)szi::cuszi_compress_many(views, p, nullptr, streams);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  for (std::size_t streams : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    EXPECT_NE(first_error({good, mismatch, bad_bound, good}, streams)
+                  .find("size/dims mismatch"),
+              std::string::npos)
+        << streams << " streams";
+    EXPECT_NE(first_error({good, bad_bound, mismatch, good}, streams)
+                  .find("non-positive error bound"),
+              std::string::npos)
+        << streams << " streams";
+  }
+
+  const auto direct = szi::cuszi_compress(f.view(), f.dims, p);
+  const std::vector<szi::FieldView> views{good, good, good};
+  for (std::size_t streams : {std::size_t{1}, std::size_t{2}}) {
+    const auto out = szi::cuszi_compress_many(views, p, nullptr, streams);
+    ASSERT_EQ(out.size(), views.size());
+    for (const auto& a : out) EXPECT_EQ(a, direct) << streams << " streams";
+  }
 }
 
 TEST(Cuszi, ThrowsOnCorruptArchive) {

@@ -161,6 +161,32 @@ TEST(Serve, FailedRequestFailsOnlyItself) {
   EXPECT_EQ(s.completed, 4u);
 }
 
+// perfbench reads `waves` and `coalesced`: every dispatched request counts
+// once, failures included, and nothing is ever batched.
+TEST(Serve, StatsCountEachDispatchedRequestOnce) {
+  Service svc;
+  const Field f = small_field();
+  Field corrupt = small_field();
+  std::fill(corrupt.data.begin(), corrupt.data.end(), 1.f);
+  const auto archive = cuszi_compress(f.view(), f.dims, rel3());
+  std::vector<Ticket> tickets;
+  tickets.push_back(svc.submit_compress("t0", f.view(), f.dims, rel3()));
+  tickets.push_back(svc.submit_decompress("t0", archive));
+  tickets.push_back(svc.submit_roi("t0", archive, RoiBox{{0, 0, 0}, {4, 4, 4}}));
+  tickets.push_back(
+      svc.submit_compress("t0", corrupt.view(), corrupt.dims, rel3()));
+  tickets.push_back(svc.submit_compress("t1", f.view(), f.dims, rel3()));
+  for (auto& t : tickets) (void)t.wait();
+  svc.drain();
+  const auto s = svc.stats();
+  EXPECT_EQ(s.submitted, 5u);
+  EXPECT_EQ(s.completed, 5u);
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.waves, 5u);
+  EXPECT_EQ(s.coalesced, 0u);
+  EXPECT_EQ(s.admission_deferrals, 0u);
+}
+
 TEST(Serve, AdmissionRejectModeRejectsOverBudget) {
   ServeConfig cfg;
   cfg.workspace_budget_bytes = 1;  // nothing fits
