@@ -1,14 +1,14 @@
 // Batched multi-field compression throughput: cuszi_compress_many (one
-// stream per pool worker, pooled workspaces over sharded arenas) versus the sequential
-// per-field loop (each call paying fresh allocations for every pipeline
-// intermediate, as all callers did before the stream/arena layer landed).
+// lane per pool worker, pooled workspaces over sharded arenas) versus the
+// sequential per-field loop (each call paying fresh allocations for every
+// pipeline intermediate).
 //
 // Two effects are being measured, mirroring the paper's CUDA setting:
 //   1. Buffer reuse — field k+2's quant codes, histograms, Huffman chunk
 //      buffers, and LZSS scratch are field k's pages, already faulted in and
 //      warm, so the per-invocation mmap/zero-fill overhead cuSZ+ (Tian et
 //      al. 2021) identifies disappears after the first fields.
-//   2. Stream overlap — on a multi-core host, field B's interpolation runs
+//   2. Lane overlap — on a multi-core host, field B's interpolation runs
 //      while field A encodes. (On a single-core CI box only effect 1 is
 //      visible.)
 //
@@ -66,11 +66,11 @@ int main() {
 
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   std::printf("pipeline_throughput: %zu fields, %.1f MB total, %u pool "
-              "worker(s), %u core(s), one stream per worker\n\n",
+              "worker(s), %u core(s), one lane per worker\n\n",
               fields.size(), static_cast<double>(total_bytes) / 1e6,
               dev::ThreadPool::instance().worker_count(), cores);
   if (cores == 1)
-    std::printf("note: single-core host — stream overlap (effect 2) cannot "
+    std::printf("note: single-core host — lane overlap (effect 2) cannot "
                 "manifest; expect speedup ~1.0x from buffer reuse alone\n\n");
 
   // Reference archives + warmup (faults in the field data itself so neither
@@ -95,7 +95,7 @@ int main() {
     identical = batch_out[i] == seq_ref[i];
 
   const double speedup = batch_s > 0 ? seq_s / batch_s : 0.0;
-  // compress_many draws from the sharded per-stream pools, so the global
+  // compress_many draws from the sharded per-lane pools, so the global
   // instance() alone would report 0/0 here.
   const auto stats = dev::Arena::aggregate_stats();
 
@@ -116,7 +116,7 @@ int main() {
                 "  \"input_bytes\": %zu,\n"
                 "  \"pool_workers\": %u,\n"
                 "  \"cpu_cores\": %u,\n"
-                "  \"streams\": \"auto (one per pool worker)\",\n"
+                "  \"lanes\": \"one per pool worker, at most one per field\",\n"
                 "  \"reps\": %d,\n"
                 "  \"sequential_seconds\": %.6f,\n"
                 "  \"batched_seconds\": %.6f,\n"

@@ -50,7 +50,7 @@ void print_stages(const StageTimings& t) {
 }
 
 /// Decode-side breakdown for --stages after -x. When the pipelined decoder
-/// overlapped stages on streams, the numbers are per-stage busy time (their
+/// overlapped stages as pool tasks, the numbers are per-stage busy time (their
 /// sum can exceed the wall clock), flagged so nobody reads them as slices.
 void print_stages(const DecodeTimings& t) {
   std::printf(
@@ -295,7 +295,7 @@ options:
   --stages          print the per-stage timing breakdown. After -z: predict /
                     histogram / codebook / encode (fused stages report as one
                     entry). After -x: unwrap / huffman / reconstruct — when
-                    the pipelined decoder overlaps stages on streams, each
+                    the pipelined decoder overlaps stages on the pool, each
                     number is that stage's busy time, not a wall-clock slice —
                     plus one size/ratio line per segment of an SZI2 archive
                     and, for --bitcomp archives, one line per wrapper segment

@@ -55,7 +55,7 @@ struct CompressResult {
 };
 
 /// Decompression-side stage breakdown (--stages on -x). When the pipelined
-/// decoder overlaps stages on dev::Streams, the per-stage numbers are
+/// decoder overlaps stages as pool tasks, the per-stage numbers are
 /// accumulated busy time across threads — not wall-clock slices — so their
 /// sum can exceed `total` (good overlap) or undershoot it (stall-bound);
 /// `overlapped` tells reporters which reading applies.
@@ -120,19 +120,6 @@ class Compressor {
   [[nodiscard]] virtual CompressResult compress(const Field& field,
                                                 const CompressParams& p) = 0;
 
-  /// Compresses a batch of fields. The default is a sequential loop;
-  /// implementations may override it to pipeline fields across streams with
-  /// pooled workspaces (cuSZ-i does — see cuszi_compress_many). Results are
-  /// positionally matched to `fields` and byte-identical to calling
-  /// compress() per field.
-  [[nodiscard]] virtual std::vector<CompressResult> compress_batch(
-      std::span<const Field> fields, const CompressParams& p) {
-    std::vector<CompressResult> out;
-    out.reserve(fields.size());
-    for (const auto& f : fields) out.push_back(compress(f, p));
-    return out;
-  }
-
   /// Archives are self-describing; `decode_seconds` (optional) receives the
   /// wall time.
   [[nodiscard]] virtual std::vector<float> decompress(
@@ -163,7 +150,7 @@ class Compressor {
   /// Decompress with a per-stage breakdown (the -x counterpart of
   /// StageTimings). The default times the whole decode as `total` and
   /// leaves the stages at zero; cuSZ-i fills the real split and sets
-  /// `overlapped` when the pipelined path ran stages on streams.
+  /// `overlapped` when the pipelined path ran stages as concurrent tasks.
   [[nodiscard]] virtual std::vector<float> decompress_stages(
       std::span<const std::byte> bytes, DecodeTimings& t);
 

@@ -4,9 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -17,7 +15,6 @@
 #include "core/timer.hh"
 #include "device/function_ref.hh"
 #include "device/launch.hh"
-#include "device/stream.hh"
 #include "device/thread_pool.hh"
 #include "huffman/histogram.hh"
 #include "huffman/huffman.hh"
@@ -185,16 +182,6 @@ struct Tuned {
   double eb;
   predictor::InterpConfig cfg;
 };
-
-/// Whether offloading LZSS blocks to a dev::Stream can actually overlap
-/// with the host thread. On a single-hardware-thread machine the stream
-/// only adds context-switch ping-pong, so the pipelined paths run the same
-/// block tasks inline at the same watermark points instead — identical
-/// bytes, better cache locality (each block is processed while still hot
-/// from being written/needed).
-bool stream_overlap_pays() {
-  return dev::ThreadPool::instance().worker_count() > 1;
-}
 
 /// Shared front half of every compress path: parameter validation plus the
 /// profiling auto-tune kernel (which also resolves Rel -> Abs).
@@ -485,11 +472,11 @@ std::vector<std::byte> compress_typed(std::span<const T> data,
 /// predict and per-level re-bucketing fuse into one pass; the inner archive
 /// is assembled exactly once in workspace memory by write_inner, and the
 /// de-redundancy pass rides its rising watermark — each wrapper segment
-/// speculatively LZSS-compresses its 64 KiB blocks as raw bytes finalize
-/// (stream mode), then runs the sampled method chooser the moment the
+/// speculatively LZSS-compresses its 64 KiB blocks as pool tasks as raw
+/// bytes finalize, then runs the sampled method chooser the moment the
 /// segment completes; a transform win (zero-RLE / bitshuffle) re-encodes
-/// the transformed bytes and the speculative blocks are simply dropped
-/// (their tasks finish harmlessly before the drain). Per-block output
+/// the transformed bytes, and the segment's speculative tasks that have
+/// not started yet are skipped. Per-block output
 /// depends only on the block's bytes, so the archive is byte-identical to
 /// bitcomp_wrap_archive(compress_typed(...), mode) for every worker count.
 template <typename T>
@@ -521,22 +508,21 @@ std::vector<std::byte> compress_bitcomp_typed(std::span<const T> data,
   const auto& segs = lay.segs;
   const std::size_t raw_size = lay.size();
 
-  std::optional<dev::Stream> lz;
-  if (stream_overlap_pays()) lz.emplace();
   auto raw = ws.make<std::byte>(raw_size);
 
   // De-redundancy state, one record per BBC2 wrapper segment: the header +
   // directory range, then one range per inner segment (the same split
   // wrap_partition derives from the directory, so the two paths agree).
-  // Blocks are submitted to the stream once the watermark of final raw
+  // Blocks are submitted as pool tasks once the watermark of final raw
   // bytes passes their end; each task reads only bytes below the watermark
   // at submit time and the host thread writes only bytes above it, so the
   // two sides never touch the same byte concurrently. Submissions below a
   // segment's end speculate method 0 (LZSS over raw bytes); when the
   // watermark closes the segment the sampled chooser runs, and a transform
-  // win re-encodes fresh blocks over the transformed bytes while the
-  // speculative tasks finish into their never-read slices. On a serial
-  // machine each segment compresses inline at its completion watermark.
+  // win re-encodes fresh blocks over the transformed bytes. The segment's
+  // speculative tasks still queued then see its `dead` flag and return;
+  // any already running finish into slices nothing reads again. With one
+  // pool worker every task runs inside the final wait().
   const std::size_t bs = lossless::kLzssBlock;
   const std::size_t stride = bs + lossless::kLzssTokenSlack;
 
@@ -549,6 +535,7 @@ std::vector<std::byte> compress_bitcomp_typed(std::span<const T> data,
     std::span<std::byte> slices;
     std::span<std::uint64_t> enc;
     std::size_t next = 0;  ///< speculative submit progress
+    std::atomic<bool> dead{false};  ///< speculation lost to a transform
   };
   std::vector<WSeg> wsegs(segs.size() + 1);
   wsegs[0].len = static_cast<std::size_t>(segs.front().offset);
@@ -563,21 +550,19 @@ std::vector<std::byte> compress_bitcomp_typed(std::span<const T> data,
     wsg.enc = ws.make<std::uint64_t>(wsg.nblocks);
   }
 
-  const auto submit_block = [&](WSeg& wsg, std::size_t b) {
+  dev::TaskGroup lz;
+  const auto submit_block = [&](WSeg& wsg, std::size_t b,
+                                const std::atomic<bool>* dead) {
     const std::size_t begin = b * bs;
     const std::size_t len = std::min(bs, wsg.src.size() - begin);
     const std::byte* in = wsg.src.data() + begin;
     std::byte* out = wsg.slices.data() + b * stride;
     std::uint64_t* esz = wsg.enc.data() + b;
-    if (lz) {
-      lz->submit([in, len, out, stride, esz, mode] {
-        *esz = lossless::lzss_compress_block({in, len}, {out, stride},
-                                             dev::Arena::instance(), mode);
-      });
-    } else {
+    lz.run([in, len, out, stride, esz, mode, dead] {
+      if (dead && dead->load()) return;
       *esz = lossless::lzss_compress_block({in, len}, {out, stride},
                                            dev::Arena::instance(), mode);
-    }
+    });
   };
 
   const auto finalize_seg = [&](WSeg& wsg) {
@@ -589,35 +574,30 @@ std::vector<std::byte> compress_bitcomp_typed(std::span<const T> data,
     const auto seg_bytes =
         std::span<const std::byte>(raw.data() + wsg.off, wsg.len);
     wsg.method = lossless::choose_method(seg_bytes, mode, ws);
-    if (wsg.method == lossless::Method::Lzss) {
-      // Speculation was right. Stream mode already submitted every block
-      // (the watermark covers the segment); serial mode compresses now.
-      if (!lz)
-        for (std::size_t b = 0; b < wsg.nblocks; ++b) submit_block(wsg, b);
-      return;
-    }
-    // Transform won: re-point the segment at the transformed bytes and
-    // encode fresh blocks over them. The speculative slices are dropped —
-    // any tasks still running write into memory nothing reads again.
+    // Speculation was right: every block is already submitted (the
+    // watermark covers the segment).
+    if (wsg.method == lossless::Method::Lzss) return;
+    // Transform won: skip the speculative tasks, re-point the segment at
+    // the transformed bytes and encode fresh blocks over them.
+    wsg.dead = true;
     wsg.src = lossless::method_transform(seg_bytes, wsg.method, ws);
     wsg.nblocks = wsg.src.empty() ? 0 : dev::ceil_div(wsg.src.size(), bs);
     wsg.slices = ws.make<std::byte>(wsg.nblocks * stride);
     wsg.enc = ws.make<std::uint64_t>(wsg.nblocks);
-    for (std::size_t b = 0; b < wsg.nblocks; ++b) submit_block(wsg, b);
+    for (std::size_t b = 0; b < wsg.nblocks; ++b)
+      submit_block(wsg, b, nullptr);
   };
 
   std::size_t cur_seg = 0;
   const auto submit_upto = [&](std::size_t watermark) {
     while (cur_seg < wsegs.size()) {
       WSeg& wsg = wsegs[cur_seg];
-      if (lz) {
-        while (wsg.next < wsg.nblocks) {
-          const std::size_t bend =
-              wsg.off + std::min((wsg.next + 1) * bs, wsg.len);
-          if (bend > watermark) break;
-          submit_block(wsg, wsg.next);
-          ++wsg.next;
-        }
+      while (wsg.next < wsg.nblocks) {
+        const std::size_t bend =
+            wsg.off + std::min((wsg.next + 1) * bs, wsg.len);
+        if (bend > watermark) break;
+        submit_block(wsg, wsg.next, &wsg.dead);
+        ++wsg.next;
       }
       if (watermark < wsg.off + wsg.len) break;
       finalize_seg(wsg);
@@ -627,7 +607,7 @@ std::vector<std::byte> compress_bitcomp_typed(std::span<const T> data,
 
   const WatermarkFn advance = submit_upto;
   write_inner<T>(lay, fl.pred, fl.levels, dims, tuned, raw, &advance);
-  if (lz) lz->synchronize();
+  lz.wait();
 
   // Final wrapped archive, assembled directly into the returned vector:
   // 'BBC2' magic | u32 nseg | segment table | per-segment LZSS streams.
@@ -945,11 +925,12 @@ V2Prefix<T> read_v2_prefix(std::span<const std::byte> bytes, EnsureFn ensure,
 
 /// The full-decode engine's byte feed. A raw SZI1/SZI2 archive is its own
 /// inner byte space: every byte is final and ensure() returns at once. A
-/// 'BBCP'/'BBC2' wrapper decodes into a workspace buffer: LZSS units run on
-/// a dev::Stream in raw order while the engine parses behind a watermark of
-/// decoded bytes, waiting on per-unit events only when it needs bytes that
-/// have not landed yet. Every engine read of the buffer happens below the
-/// watermark, every stream write above it, and all parses go through the
+/// 'BBCP'/'BBC2' wrapper decodes into a workspace buffer: LZSS units run as
+/// pool tasks in raw order while the engine parses behind a watermark of
+/// decoded bytes, waiting on a unit only when it needs bytes that have not
+/// landed yet (and running it itself if no worker has claimed it). Every
+/// engine read of the buffer happens below the watermark, every task write
+/// above it, and all parses go through the
 /// bounds-checked ByteReader over the fixed-size buffer, so corrupt
 /// archives fail exactly like a full unwrap (the corruption-fuzz harness
 /// drives this route).
@@ -966,7 +947,7 @@ class DecodeFeed {
     // same per-segment (frame, method, raw range) records, so the pipelined
     // machinery below is identical for a legacy 'BBCP' single stream and a
     // 'BBC2' table. All frames parse and all scratch allocates here, on the
-    // host — dev::Workspace is not thread-safe, so stream tasks only ever
+    // host — dev::Workspace is not thread-safe, so unit tasks only ever
     // touch memory handed out before submission.
     const auto container = bitcomp_parse_container(archive);
     const std::size_t nwseg = container.segments.size();
@@ -989,11 +970,11 @@ class DecodeFeed {
 
     // Decode units, in raw order. A method-0 segment decodes straight into
     // its raw range in ~4-block groups (blocks of one group write disjoint
-    // ranges, so they fan out across the pool at grain 1; with one worker
-    // the launch degrades to a serial walk). A transformed segment is
-    // all-or-nothing: one unit block-decodes its LZSS stream into scratch in
-    // parallel, then untransforms into the raw range. Each unit's `end` is
-    // the raw watermark that is final once it completes.
+    // ranges, so they fan out across the pool at grain 1). A transformed
+    // segment is all-or-nothing: one unit block-decodes its LZSS stream into
+    // scratch in parallel, then untransforms into the raw range. Unit k is
+    // task k of `units_`; unit_end_[k] is the raw watermark that is final
+    // once it completes.
     constexpr std::size_t kGroupBlocks = 4;
     for (std::size_t i = 0; i < nwseg; ++i) {
       const lossless::LzssFrame* fp = &frames_[i];
@@ -1007,51 +988,41 @@ class DecodeFeed {
           const std::size_t gend =
               soff + std::min(be * fp->block_size,
                               static_cast<std::size_t>(fp->raw_size));
-          units_.push_back({[this, fp, base, b, be] {
-                              const auto t0 = std::chrono::steady_clock::now();
-                              dev::ThreadPool::instance().parallel_for(
-                                  be - b,
-                                  [&](std::size_t k0) {
-                                    const std::size_t k = b + k0;
-                                    const std::size_t begin =
-                                        k * fp->block_size;
-                                    const std::size_t len = std::min(
-                                        fp->block_size, fp->raw_size - begin);
-                                    lossless::lzss_decompress_block(
-                                        *fp, k, {base + begin, len});
-                                  },
-                                  1);
-                              lzss_ns_ += ns_since(t0);
-                            },
-                            gend});
+          units_.run([this, fp, base, b, be] {
+            const auto t0 = std::chrono::steady_clock::now();
+            dev::ThreadPool::instance().parallel_for(
+                be - b,
+                [&](std::size_t k0) {
+                  const std::size_t k = b + k0;
+                  const std::size_t begin = k * fp->block_size;
+                  const std::size_t len =
+                      std::min(fp->block_size, fp->raw_size - begin);
+                  lossless::lzss_decompress_block(*fp, k, {base + begin, len});
+                },
+                1);
+            lzss_ns_ += ns_since(t0);
+          });
+          unit_end_.push_back(gend);
         }
       } else if (slen > 0 || fp->raw_size > 0) {
         auto tmp = ws.make<std::byte>(fp->raw_size);
         std::byte* dst = raw.data() + soff;
-        units_.push_back({[this, fp, tmp, dst, m, slen] {
-                            const auto t0 = std::chrono::steady_clock::now();
-                            dev::ThreadPool::instance().parallel_for(
-                                fp->nblocks,
-                                [&](std::size_t k) {
-                                  const std::size_t begin = k * fp->block_size;
-                                  const std::size_t len = std::min(
-                                      fp->block_size, fp->raw_size - begin);
-                                  lossless::lzss_decompress_block(
-                                      *fp, k, {tmp.data() + begin, len});
-                                },
-                                1);
-                            lossless::method_untransform(tmp, m, {dst, slen});
-                            lzss_ns_ += ns_since(t0);
-                          },
-                          soff + slen});
-      }
-    }
-
-    if (stream_overlap_pays() && !units_.empty()) {
-      lz_.emplace();
-      for (auto& u : units_) {
-        lz_->submit(u.run);
-        unit_ev_.push_back(lz_->record());
+        units_.run([this, fp, tmp, dst, m, slen] {
+          const auto t0 = std::chrono::steady_clock::now();
+          dev::ThreadPool::instance().parallel_for(
+              fp->nblocks,
+              [&](std::size_t k) {
+                const std::size_t begin = k * fp->block_size;
+                const std::size_t len =
+                    std::min(fp->block_size, fp->raw_size - begin);
+                lossless::lzss_decompress_block(*fp, k,
+                                                {tmp.data() + begin, len});
+              },
+              1);
+          lossless::method_untransform(tmp, m, {dst, slen});
+          lzss_ns_ += ns_since(t0);
+        });
+        unit_end_.push_back(soff + slen);
       }
     }
   }
@@ -1061,73 +1032,56 @@ class DecodeFeed {
 
   [[nodiscard]] std::span<const std::byte> bytes() const { return bytes_; }
 
+  /// Waits for the units covering [0, off). A failed unit rethrows here,
+  /// so the parser surfaces the CorruptArchive instead of reading
+  /// half-written bytes.
   void ensure(std::size_t off) {
     off = std::min(off, bytes_.size());
-    while (decoded_ < off) {
-      if (next_unit_ >= units_.size()) {
-        // Only empty segments remain past the last unit.
-        decoded_ = bytes_.size();
-        break;
-      }
-      if (lz_) {
-        unit_ev_[next_unit_].wait();
-        decoded_ = std::max(decoded_, units_[next_unit_++].end);
-        // A failed block poisons the stream before its unit's event fires;
-        // surface the CorruptArchive instead of reading half-written bytes.
-        if (lz_->errored()) lz_->synchronize();
-      } else {
-        // Serial machine: pull-decode the next unit right before it is
-        // parsed (same bytes, no thread ping-pong, cache-hot handoff).
-        units_[next_unit_].run();
-        decoded_ = std::max(decoded_, units_[next_unit_].end);
-        ++next_unit_;
-      }
+    if (decoded_ >= off) return;
+    const auto k = static_cast<std::size_t>(
+        std::lower_bound(unit_end_.begin(), unit_end_.end(), off) -
+        unit_end_.begin());
+    if (k == unit_end_.size()) {
+      // Only empty segments remain past the last unit.
+      drain();
+      return;
     }
+    units_.wait(k + 1);
+    decoded_ = unit_end_[k];
   }
 
-  /// Runs every unit the parser never waited for, so a corrupt tail block
-  /// or payload throws exactly as a full unwrap does (zero-length tail
-  /// units included — ensure() may reach the end before running them).
+  /// Waits for every unit, including those the parser never needed, so a
+  /// corrupt tail block or payload throws exactly as a full unwrap does.
   void drain() {
-    if (lz_) {
-      lz_->synchronize();
-    } else {
-      for (; next_unit_ < units_.size(); ++next_unit_) units_[next_unit_].run();
-    }
+    units_.wait();
     decoded_ = bytes_.size();
   }
 
-  [[nodiscard]] bool overlapped() const { return lz_.has_value(); }
+  /// Whether units could run beside the parser.
+  [[nodiscard]] bool overlapped() const {
+    return !unit_end_.empty() &&
+           dev::ThreadPool::instance().worker_count() > 1;
+  }
   [[nodiscard]] double unwrap_s() const {
     return static_cast<double>(lzss_ns_.load()) * 1e-9;
   }
 
  private:
-  struct DecodeUnit {
-    std::function<void()> run;
-    std::size_t end = 0;
-  };
-
   std::span<const std::byte> bytes_;
   std::vector<lossless::LzssFrame> frames_;
-  std::vector<DecodeUnit> units_;
-  std::vector<dev::Event> unit_ev_;
+  std::vector<std::size_t> unit_end_;
   std::size_t decoded_ = 0;
-  std::size_t next_unit_ = 0;
   std::atomic<std::int64_t> lzss_ns_{0};
-  std::optional<dev::Stream> lz_;  ///< last member: drains before units die
+  dev::TaskGroup units_;  ///< last member: drains before what units borrow
 };
 
-/// The slab schedule every decode shares — full, preview and ROI. A slab
-/// whose code prefix is complete before the last chunk group (run_ready)
-/// starts at once: on a per-worker dev::Stream fleet built on the first
-/// such slab — only then is there decode left to overlap, so a decode
-/// whose codes are all in place (a single-group stream, a preview, an ROI)
-/// never spawns the fleet's threads — or inline on a serial machine, while
-/// its codes are cache-hot. finish() runs every slab still pending — when
-/// no fleet exists, as one pool launch if they fill the pool, else one
-/// after another with parallel tile waves — and drains the fleet; the
-/// first failure wins.
+/// The slab schedule every decode shares — full, preview and ROI. Every
+/// slab runs as one pool task: run_ready submits each slab whose code
+/// prefix is complete, so it reconstructs while later chunk groups decode;
+/// finish() submits the rest and waits, running unclaimed slabs on the
+/// caller. A slab's parity-wave launches nest inside its task, so idle
+/// workers help a lone slab as readily as they take whole slabs. The
+/// lowest-index failure wins.
 template <typename T>
 class SlabSchedule {
  public:
@@ -1138,68 +1092,38 @@ class SlabSchedule {
   SlabSchedule& operator=(const SlabSchedule&) = delete;
 
   void run_ready(std::size_t code_watermark) {
-    while (next_ < nslabs_ && recon_.codes_needed(next_) <= code_watermark) {
-      const std::size_t k = next_++;
-      if (!stream_overlap_pays()) {
-        run_timed(k);
-        continue;
-      }
-      if (fleet_.empty()) {
-        const std::size_t n = std::min<std::size_t>(
-            dev::ThreadPool::instance().worker_count(), nslabs_);
-        for (std::size_t i = 0; i < n; ++i) fleet_.emplace_back();
-      }
-      fleet_[k % fleet_.size()].submit([this, k] { run_timed(k); });
-    }
+    for (; next_ < nslabs_ && recon_.codes_needed(next_) <= code_watermark;
+         ++next_)
+      slabs_.run([this, k = next_] {
+        const auto t0 = std::chrono::steady_clock::now();
+        recon_.run_slab(k);
+        ns_ += ns_since(t0);
+      });
   }
 
   void finish() {
-    if (!fleet_.empty()) {
-      run_ready(std::numeric_limits<std::size_t>::max());
-    } else if (nslabs_ - next_ <
-               dev::ThreadPool::instance().worker_count()) {
-      // Too few slabs to fill the pool: run them one after another so each
-      // keeps its parallel tile waves (a launch nested in a pool launch
-      // runs serially).
-      while (next_ < nslabs_) run_timed(next_++);
-    } else {
-      const auto t0 = std::chrono::steady_clock::now();
-      const std::size_t first = next_;
-      dev::launch_linear(
-          nslabs_ - first, [&](std::size_t k) { recon_.run_slab(first + k); },
-          1);
-      next_ = nslabs_;
-      ns_ += ns_since(t0);
-    }
-    std::exception_ptr err;
-    for (auto& s : fleet_) {
-      try {
-        s.synchronize();
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
+    // Slabs submitted before the last chunk group ran beside the decode.
+    early_ = slabs_.size();
+    run_ready(std::numeric_limits<std::size_t>::max());
+    slabs_.wait();
   }
 
-  [[nodiscard]] bool overlapped() const { return !fleet_.empty(); }
-  /// Busy time of the slabs run so far (summed across streams).
+  /// Whether slabs could run beside the entropy decode.
+  [[nodiscard]] bool overlapped() const {
+    return early_ > 0 && dev::ThreadPool::instance().worker_count() > 1;
+  }
+  /// Busy time of the slabs run so far (summed across workers).
   [[nodiscard]] double seconds() const {
     return static_cast<double>(ns_.load()) * 1e-9;
   }
 
  private:
-  void run_timed(std::size_t k) {
-    const auto t0 = std::chrono::steady_clock::now();
-    recon_.run_slab(k);
-    ns_ += ns_since(t0);
-  }
-
   predictor::GInterpReconstructorT<T>& recon_;
   std::size_t nslabs_;
   std::size_t next_ = 0;
+  std::size_t early_ = 0;
   std::atomic<std::int64_t> ns_{0};
-  std::deque<dev::Stream> fleet_;  ///< last member: drains before the rest
+  dev::TaskGroup slabs_;  ///< last member: drains before the rest
 };
 
 /// The full-decode engine: every full-fidelity decode (raw or wrapped,
@@ -1211,14 +1135,14 @@ class SlabSchedule {
 /// prefix is complete reconstructs while later groups decode. Slabs are
 /// mutually independent (the reconstructor snapshots the cross-slab border
 /// planes at construction), so any number of them may run concurrently the
-/// moment their code prefix lands: streams read only codes below the
+/// moment their code prefix lands: slab tasks read only codes below the
 /// watermark, the host writes only above it.
 ///
-/// Slabs run on the shared SlabSchedule: the stream fleet exists only when
-/// a slab becomes ready before the last chunk group, and slabs still
-/// pending at the end (all of them for a single-group stream) run as one
-/// pool launch, exactly like ginterp_decompress_into. `dims_out` receives
-/// the field geometry for callers that crop or subsample the result.
+/// Slabs run as pool tasks on the shared SlabSchedule: a slab starts as
+/// soon as its code prefix lands, and slabs still pending at the end (all
+/// of them for a single-group stream) are submitted together. `dims_out`
+/// receives the field geometry for callers that crop or subsample the
+/// result.
 template <typename T>
 std::vector<T> decode_full(std::span<const std::byte> archive, bool wrapped,
                            dev::Workspace& ws, DecodeTimings* dt = nullptr,
@@ -1312,7 +1236,7 @@ std::vector<T> decode_full(std::span<const std::byte> archive, bool wrapped,
   // prefill.
   if (!v2) codes = ws.make<quant::Code>(h.volume);
 
-  // `slabs` is declared after everything its streams borrow, so unwind
+  // `slabs` is declared after everything its tasks borrow, so unwind
   // order drains them before those locals die.
   std::vector<T> out(h.volume);
   predictor::GInterpReconstructorT<T> recon(codes, anchors, outliers, h.dims,
@@ -1853,7 +1777,7 @@ bool roi_v2(InnerSource& inner, const RoiBox& box, dev::Workspace& ws,
   }
 
   // Box-clipped reconstruction: every code is in place, so the slab
-  // schedule runs all slabs as one pool launch.
+  // schedule submits all slabs at once.
   predictor::GInterpReconstructorT<T> recon(codes, plan, h.dims, h.eb, h.cfg,
                                             h.radius, std::span<T>(boxout));
   SlabSchedule<T> slabs(recon);
@@ -2165,61 +2089,6 @@ std::vector<SegmentInfo> archive_segments_typed(
   return out;
 }
 
-/// The batched pipeline behind cuszi_compress_many() and
-/// Cuszi::compress_batch: fields go
-/// round-robin onto `streams` in-order async queues. `streams == 0` means
-/// auto — one stream per pool worker (capped by the field count), so the
-/// batch front end scales with SZI_THREADS instead of a caller-guessed
-/// constant. Each stream reuses one Workspace over its own partitioned
-/// arena shard, so field k+streams's buffers are field k's pages — warm,
-/// already faulted in — and concurrent streams never contend on one
-/// free-list mutex. On a multi-core host the streams also overlap (field
-/// B's interpolation runs while field A encodes); outputs stay
-/// byte-identical because every kernel is deterministic regardless of
-/// scheduling.
-///
-/// Each field's exception is caught inside its own task, so a throwing
-/// field never poisons its stream: every field runs, then the lowest-index
-/// failure is rethrown — what a sequential per-field loop would have raised
-/// first. A task that threw may have left the shared Workspace holding
-/// blocks mid-flight; reset() before the next field reuses it.
-std::vector<std::vector<std::byte>> compress_many_impl(
-    std::span<const FieldView> fields, const CompressParams& params,
-    std::vector<StageTimings>* timings, std::size_t streams) {
-  const std::size_t nf = fields.size();
-  std::vector<std::vector<std::byte>> out(nf);
-  std::vector<StageTimings> times(nf);
-  std::vector<std::exception_ptr> errors(nf);
-  if (streams == 0)
-    streams = std::max<std::size_t>(
-        1, dev::ThreadPool::instance().worker_count());
-  if (nf > 0 && streams > nf) streams = nf;
-
-  // Deques: Stream and Workspace are non-movable.
-  std::deque<dev::Stream> ss(streams);
-  std::deque<dev::Workspace> wss;
-  for (std::size_t s = 0; s < streams; ++s)
-    wss.emplace_back(dev::Arena::shard(s));
-
-  for (std::size_t f = 0; f < nf; ++f) {
-    dev::Workspace& ws = wss[f % streams];
-    ss[f % streams].submit([f, &ws, fields, params, &out, &times, &errors] {
-      try {
-        out[f] = compress_typed<float>(fields[f].data, fields[f].dims, params,
-                                       &times[f], /*fused=*/true, ws);
-      } catch (...) {
-        errors[f] = std::current_exception();
-        ws.reset();
-      }
-    });
-  }
-  for (auto& s : ss) s.synchronize();
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);
-  if (timings) *timings = std::move(times);
-  return out;
-}
-
 /// The Compressor-interface adapter over the f32 typed API. Compression
 /// runs the fused pipeline.
 class Cuszi final : public Compressor {
@@ -2232,21 +2101,6 @@ class Cuszi final : public Compressor {
     r.bytes = compress_typed<float>(field.data, field.dims, p, &r.timings,
                                     /*fused=*/true);
     return r;
-  }
-
-  [[nodiscard]] std::vector<CompressResult> compress_batch(
-      std::span<const Field> fields, const CompressParams& p) override {
-    std::vector<FieldView> views;
-    views.reserve(fields.size());
-    for (const auto& f : fields) views.push_back({f.view(), f.dims});
-    std::vector<StageTimings> times;
-    auto archives = compress_many_impl(views, p, &times, /*streams=*/0);
-    std::vector<CompressResult> out(archives.size());
-    for (std::size_t i = 0; i < archives.size(); ++i) {
-      out[i].bytes = std::move(archives[i]);
-      out[i].timings = times[i];
-    }
-    return out;
   }
 
   [[nodiscard]] std::vector<float> decompress(std::span<const std::byte> bytes,
@@ -2376,10 +2230,47 @@ std::vector<std::byte> cuszi_compress_bitcomp(std::span<const double> data,
   return compress_bitcomp_typed<double>(data, dims, params, timings, ws, mode);
 }
 
+/// One pool launch over min(workers, fields) lanes; lane j compresses
+/// fields j, j + lanes, ... on one Workspace over arena shard j, so each
+/// field reuses its predecessor's warm pages and lanes never contend on one
+/// free-list mutex. Each field's kernels are nested launches that idle
+/// workers help, and every kernel is deterministic regardless of
+/// scheduling, so archives are byte-identical to per-field compression.
+///
+/// Each field's exception is caught inside its lane, so every field runs,
+/// then the lowest-index failure is rethrown — what a sequential per-field
+/// loop would have raised first. A field that threw may have left the
+/// lane's Workspace holding blocks mid-flight; reset() before the next
+/// field reuses it.
 std::vector<std::vector<std::byte>> cuszi_compress_many(
     std::span<const FieldView> fields, const CompressParams& params,
-    std::vector<StageTimings>* timings, std::size_t streams) {
-  return compress_many_impl(fields, params, timings, streams);
+    std::vector<StageTimings>* timings) {
+  const std::size_t nf = fields.size();
+  std::vector<std::vector<std::byte>> out(nf);
+  std::vector<StageTimings> times(nf);
+  std::vector<std::exception_ptr> errors(nf);
+  auto& pool = dev::ThreadPool::instance();
+  const std::size_t lanes = std::min<std::size_t>(pool.worker_count(), nf);
+  pool.parallel_for(
+      lanes,
+      [&](std::size_t lane) {
+        dev::Workspace ws(dev::Arena::shard(lane));
+        for (std::size_t f = lane; f < nf; f += lanes) {
+          try {
+            out[f] = compress_typed<float>(fields[f].data, fields[f].dims,
+                                           params, &times[f], /*fused=*/true,
+                                           ws);
+          } catch (...) {
+            errors[f] = std::current_exception();
+            ws.reset();
+          }
+        }
+      },
+      1);
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);
+  if (timings) *timings = std::move(times);
+  return out;
 }
 
 Precision cuszi_archive_precision(std::span<const std::byte> bytes) {

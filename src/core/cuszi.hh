@@ -83,7 +83,7 @@ namespace szi {
 /// Fused compress straight to the §VI-B bitcomp-wrapped archive: the inner
 /// archive is assembled once in `ws` memory with the Huffman payload
 /// emitted directly into its final slot, and whole 64 KiB regions are
-/// handed to the LZSS pass on a dev::Stream as soon as their bytes are
+/// handed to the LZSS pass as pool tasks as soon as their bytes are
 /// final — the stages overlap instead of running back to back over full
 /// arrays. Bytes are identical to
 /// bitcomp_wrap_archive(cuszi_compress(data, ...)) with the same `mode`.
@@ -103,18 +103,17 @@ struct FieldView {
   dev::Dim3 dims;
 };
 
-/// Batched front end: compresses `fields` by pipelining them round-robin
-/// across `streams` dev::Streams, each stream owning a persistent Workspace
-/// over its own partitioned arena shard so buffers are reused from field to
-/// field without cross-stream lock contention. `streams == 0` (the default)
-/// sizes the fleet automatically: one stream per pool worker, capped by the
-/// field count. Archives are byte-identical to per-field cuszi_compress()
+/// Batched front end: compresses `fields` round-robin across
+/// min(worker_count(), fields.size()) lanes of one pool launch, each lane
+/// owning a persistent Workspace over its own partitioned arena shard so
+/// buffers are reused from field to field without cross-lane lock
+/// contention. Archives are byte-identical to per-field cuszi_compress()
 /// and returned in input order. A failing field does not stop the others:
 /// every field runs, then the lowest-index failure is rethrown. `timings`
 /// (optional) receives per-field stage timings.
 [[nodiscard]] std::vector<std::vector<std::byte>> cuszi_compress_many(
     std::span<const FieldView> fields, const CompressParams& params,
-    std::vector<StageTimings>* timings = nullptr, std::size_t streams = 0);
+    std::vector<StageTimings>* timings = nullptr);
 
 enum class Precision : std::uint8_t { F32 = 0, F64 = 1 };
 
@@ -196,7 +195,7 @@ struct SegmentInfo {
     std::span<const std::byte> bytes, dev::Workspace& ws);
 
 /// Decompress of a bitcomp-wrapped ('BBCP'/'BBC2') cuSZ-i archive through
-/// the same engine as the raw overloads: LZSS blocks decode on a dev::Stream
+/// the same engine as the raw overloads: LZSS blocks decode as pool tasks
 /// while the host thread parses the inner archive and Huffman-decodes chunk
 /// groups as their payload bytes land. Output is bit-identical to
 /// cuszi_decompress_*(bitcomp_unwrap_archive(bytes)); malformed input

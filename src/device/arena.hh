@@ -36,16 +36,16 @@ namespace szi::dev {
 
 class Arena {
  public:
-  /// Global pool shared by all streams and pipelines.
+  /// Global pool shared by all kernels and pipelines.
   static Arena& instance();
 
   /// Number of partitioned shard arenas available via shard().
   static constexpr std::size_t kShards = 16;
 
-  /// Partitioned per-stream pools: shard(i) always returns the same Arena
-  /// for the same i, so a stream scheduler that pins stream i to shard
-  /// i % kShards keeps that stream's pages warm across batches while
-  /// eliminating free-list lock contention between concurrent streams.
+  /// Partitioned per-lane pools: shard(i) always returns the same Arena
+  /// for the same i, so a scheduler that pins lane i to shard i % kShards
+  /// keeps that lane's pages warm across batches while eliminating
+  /// free-list lock contention between concurrent lanes.
   /// Shards are constructed lazily and live for the process.
   static Arena& shard(std::size_t i);
 

@@ -24,7 +24,7 @@ struct BlockIdx {
 /// distributed over the pool. Synchronous, like a CUDA launch followed by
 /// cudaDeviceSynchronize(). The body is borrowed for the duration of the
 /// call (FunctionRef), so no per-launch heap allocation happens here; for
-/// the asynchronous counterpart see device/stream.hh.
+/// asynchronous work see TaskGroup in device/thread_pool.hh.
 template <typename Body>
 void launch_blocks(const Dim3& grid, Body&& body) {
   auto& pool = ThreadPool::instance();

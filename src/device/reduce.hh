@@ -3,7 +3,9 @@
 // two-phase GPU reduction.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -47,8 +49,9 @@ struct MinMaxPair {
 };
 
 /// Core of minmax(): `partial` must hold ceil(n / 2^16) pairs; every slot is
-/// overwritten, so unzeroed workspace memory is fine.
-template <typename T>
+/// overwritten, so unzeroed workspace memory is fine. `FiniteOnly` skips
+/// infinities and NaNs; with no finite value at all the result is {0, 0}.
+template <typename T, bool FiniteOnly = false>
 [[nodiscard]] MinMax<T> minmax_over(std::span<const T> data,
                                     std::span<MinMaxPair<T>> partial) {
   const std::size_t chunk = 1 << 16;
@@ -59,7 +62,12 @@ template <typename T>
         const std::size_t begin = c * chunk;
         const std::size_t end = std::min(begin + chunk, data.size());
         MinMaxPair<T> p{data[begin], data[begin]};
-        for (std::size_t i = begin + 1; i < end; ++i) {
+        if constexpr (FiniteOnly)
+          p = {std::numeric_limits<T>::infinity(),
+               -std::numeric_limits<T>::infinity()};
+        for (std::size_t i = begin; i < end; ++i) {
+          if constexpr (FiniteOnly)
+            if (!std::isfinite(data[i])) continue;
           if (data[i] < p.lo) p.lo = data[i];
           if (data[i] > p.hi) p.hi = data[i];
         }
@@ -71,6 +79,8 @@ template <typename T>
     if (partial[c].lo < acc.lo) acc.lo = partial[c].lo;
     if (partial[c].hi > acc.hi) acc.hi = partial[c].hi;
   }
+  if constexpr (FiniteOnly)
+    if (acc.lo > acc.hi) return {T{}, T{}};
   return {acc.lo, acc.hi};
 }
 }  // namespace detail
@@ -90,6 +100,16 @@ template <typename T>
   auto partial =
       ws.make<detail::MinMaxPair<T>>(ceil_div(data.size(), std::size_t{1} << 16));
   return detail::minmax_over<T>(data, partial);
+}
+
+/// minmax() over the finite values only ({0, 0} when there are none), so
+/// one infinity or NaN cannot blow a value range up.
+template <typename T>
+[[nodiscard]] MinMax<T> finite_minmax(std::span<const T> data, Workspace& ws) {
+  if (data.empty()) return {T{}, T{}};
+  auto partial =
+      ws.make<detail::MinMaxPair<T>>(ceil_div(data.size(), std::size_t{1} << 16));
+  return detail::minmax_over<T, true>(data, partial);
 }
 
 }  // namespace szi::dev

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 namespace szi::dev {
@@ -63,67 +64,85 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
-namespace {
-// Set while a thread is inside a launch; nested launches (a kernel spawning
-// another) degrade to inline execution instead of deadlocking the pool.
-thread_local bool g_in_launch = false;
-}  // namespace
+/// One in-flight launch; `done` is the completion signal the submitter
+/// waits on.
+struct ThreadPool::Launch final : ThreadPool::Job {
+  Launch(FunctionRef<void(std::size_t)> b, std::size_t c, std::size_t g)
+      : body(b), count(c), grain(g) {}
+
+  [[nodiscard]] bool exhausted() const override {
+    return next.load() >= count;
+  }
+
+  void drain(ThreadPool& pool) override {
+    for (;;) {
+      // in_flight brackets the claim itself, so "no more claims possible"
+      // and "no chunk executing" can be checked together as the completion
+      // condition without missing a concurrent claimer.
+      in_flight.fetch_add(1);
+      const std::size_t begin = next.fetch_add(grain);
+      if (begin >= count) {
+        if (in_flight.fetch_sub(1) == 1) pool.finish_if_complete(*this);
+        return;
+      }
+      const std::size_t end = std::min(begin + grain, count);
+      try {
+        for (std::size_t i = begin; i < end; ++i) body(i);
+      } catch (...) {
+        // Record the first failure and stop handing out work; the submitter
+        // rethrows once the launch drains.
+        std::lock_guard lk(pool.mu_);
+        if (!error) error = std::current_exception();
+        next.store(count);
+      }
+      if (in_flight.fetch_sub(1) == 1 && next.load() >= count)
+        pool.finish_if_complete(*this);
+    }
+  }
+
+  FunctionRef<void(std::size_t)> body;
+  std::size_t count;
+  std::size_t grain;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> in_flight{0};
+  std::exception_ptr error;  // guarded by the pool mutex
+  bool done = false;         // guarded by the pool mutex
+};
 
 void ThreadPool::parallel_for(std::size_t count,
                               FunctionRef<void(std::size_t)> body,
                               std::size_t grain) {
   if (count == 0) return;
   grain = std::max<std::size_t>(1, grain);
-  if (workers_ == 1 || count <= grain || g_in_launch) {
+  if (workers_ == 1 || count <= grain) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
-  g_in_launch = true;
-  struct Reset {
-    ~Reset() { g_in_launch = false; }
-  } reset;
-
   // One allocation per launch (the descriptor); the body itself is borrowed,
   // never copied onto the heap. The shared_ptr keeps the descriptor alive
   // for workers that are between claiming and abandoning it.
   auto ln = std::make_shared<Launch>(body, count, grain);
-  {
-    std::lock_guard lk(mu_);
-    queue_.push_back(ln);
-  }
-  cv_start_.notify_all();
+  enqueue(ln, /*all=*/true);
 
-  drain(*ln);  // the caller works too
+  ln->drain(*this);  // the caller works too
 
   std::unique_lock lk(mu_);
   cv_done_.wait(lk, [&] { return ln->done; });
   if (ln->error) std::rethrow_exception(std::exchange(ln->error, nullptr));
 }
 
-void ThreadPool::drain(Launch& ln) {
-  for (;;) {
-    // in_flight brackets the claim itself, so "no more claims possible" and
-    // "no chunk executing" can be checked together as the completion
-    // condition without missing a concurrent claimer.
-    ln.in_flight.fetch_add(1);
-    const std::size_t begin = ln.next.fetch_add(ln.grain);
-    if (begin >= ln.count) {
-      if (ln.in_flight.fetch_sub(1) == 1) finish_if_complete(ln);
-      return;
+void ThreadPool::enqueue(const std::shared_ptr<Job>& job, bool all) {
+  {
+    std::lock_guard lk(mu_);
+    if (!job->queued) {
+      queue_.push_back(job);
+      job->queued = true;
     }
-    const std::size_t end = std::min(begin + ln.grain, ln.count);
-    try {
-      for (std::size_t i = begin; i < end; ++i) ln.body(i);
-    } catch (...) {
-      // Record the first failure and stop handing out work; the submitter
-      // rethrows once the launch drains.
-      std::lock_guard lk(mu_);
-      if (!ln.error) ln.error = std::current_exception();
-      ln.next.store(ln.count);
-    }
-    if (ln.in_flight.fetch_sub(1) == 1 && ln.next.load() >= ln.count)
-      finish_if_complete(ln);
   }
+  if (all)
+    cv_start_.notify_all();
+  else
+    cv_start_.notify_one();
 }
 
 void ThreadPool::finish_if_complete(Launch& ln) {
@@ -139,25 +158,115 @@ void ThreadPool::finish_if_complete(Launch& ln) {
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::shared_ptr<Launch> ln;
+    std::shared_ptr<Job> job;
     {
       std::unique_lock lk(mu_);
       cv_start_.wait(lk, [&] {
-        // Drop launches whose index space is exhausted — their remaining
-        // chunks are finishing on other threads; re-draining them would
-        // busy-spin.
-        while (!queue_.empty() &&
-               queue_.front()->next.load() >= queue_.front()->count)
+        // Drop jobs with nothing left to claim — their remaining work is
+        // finishing on other threads; re-draining them would busy-spin. A
+        // dropped task group is queued again by its next run().
+        while (!queue_.empty() && queue_.front()->exhausted()) {
+          queue_.front()->queued = false;
           queue_.pop_front();
+        }
         return stop_ || !queue_.empty();
       });
       if (stop_) return;
-      ln = queue_.front();
+      job = queue_.front();
     }
-    g_in_launch = true;
-    drain(*ln);
-    g_in_launch = false;
+    job->drain(*this);
   }
+}
+
+/// A task group's shared state: the queue entry workers drain.
+struct TaskGroup::State final : ThreadPool::Job {
+  struct Task {
+    std::function<void()> fn;
+    bool done = false;
+  };
+
+  [[nodiscard]] bool exhausted() const override {
+    std::lock_guard lk(mu);
+    return claimed == tasks.size();
+  }
+
+  void drain(ThreadPool&) override {
+    drain_below(std::numeric_limits<std::size_t>::max());
+  }
+
+  /// Claims and runs tasks in submission order while one below `limit` is
+  /// unclaimed.
+  void drain_below(std::size_t limit) {
+    for (;;) {
+      std::size_t i = 0;
+      std::function<void()> fn;
+      {
+        std::lock_guard lk(mu);
+        if (claimed >= std::min(limit, tasks.size())) return;
+        i = claimed++;
+        fn = std::move(tasks[i].fn);
+      }
+      std::exception_ptr err;
+      try {
+        fn();
+      } catch (...) {
+        err = std::current_exception();
+      }
+      fn = nullptr;  // the task's captures die before anyone sees it done
+      std::lock_guard lk(mu);
+      tasks[i].done = true;
+      if (err && i < first_error) {
+        first_error = i;
+        error = err;
+      }
+      while (finished < tasks.size() && tasks[finished].done) ++finished;
+      cv.notify_all();
+    }
+  }
+
+  mutable std::mutex mu;
+  std::condition_variable cv;  // waiters: `finished` advanced
+  std::deque<Task> tasks;
+  std::size_t claimed = 0;   // tasks [0, claimed) are handed out
+  std::size_t finished = 0;  // tasks [0, finished) have all run
+  std::size_t first_error = std::numeric_limits<std::size_t>::max();
+  std::exception_ptr error;  // task first_error's failure
+};
+
+TaskGroup::TaskGroup(ThreadPool& pool)
+    : pool_(pool), st_(std::make_shared<State>()) {}
+
+TaskGroup::~TaskGroup() {
+  // Like cudaStreamDestroy: pending work completes, and failures surface
+  // only through an explicit wait().
+  try {
+    wait();
+  } catch (...) {
+  }
+}
+
+void TaskGroup::run(std::function<void()> fn) {
+  {
+    std::lock_guard lk(st_->mu);
+    st_->tasks.push_back({std::move(fn)});
+  }
+  // With one worker no thread could claim the task; wait() runs it.
+  if (pool_.worker_count() > 1) pool_.enqueue(st_, /*all=*/false);
+}
+
+void TaskGroup::wait(std::size_t n) {
+  n = std::min(n, size());
+  st_->drain_below(n);
+  std::unique_lock lk(st_->mu);
+  st_->cv.wait(lk, [&] { return st_->finished >= n; });
+  if (st_->first_error < n) std::rethrow_exception(st_->error);
+}
+
+void TaskGroup::wait() { wait(std::numeric_limits<std::size_t>::max()); }
+
+std::size_t TaskGroup::size() const {
+  std::lock_guard lk(st_->mu);
+  return st_->tasks.size();
 }
 
 }  // namespace szi::dev

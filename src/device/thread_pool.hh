@@ -1,17 +1,23 @@
-// A small persistent worker pool used as the "device" behind kernel launches.
+// A small persistent worker pool used as the "device" behind kernel launches
+// and asynchronous task groups.
 //
 // Workers are created once (lazily, on first use) and parked on a condition
-// variable between launches, mirroring how a GPU's SMs persist across kernel
-// invocations. Work is handed out as a half-open index range consumed through
-// an atomic counter (dynamic scheduling), which maps naturally onto the
-// block-index iteration the kernels in this codebase use.
+// variable between jobs, mirroring how a GPU's SMs persist across kernel
+// invocations. The pool runs one queue of jobs, drained FIFO by idle
+// workers:
+//   - a launch (parallel_for) is a half-open index range consumed through an
+//     atomic counter (dynamic scheduling), which maps naturally onto the
+//     block-index iteration the kernels in this codebase use;
+//   - a TaskGroup is a growing list of owned tasks, claimed one at a time
+//     in submission order — the analogue of a CUDA stream: a queue whose
+//     work the device's processors pick up, not a processor of its own.
 //
-// The pool accepts launches from any number of threads concurrently — the
-// hardware analogue of multiple CUDA streams feeding one device. Each
-// parallel_for enqueues a launch descriptor; idle workers drain whichever
-// launches are active (FIFO between launches, dynamic chunking within one),
-// so a stream's kernel can execute while another stream's kernel is still in
-// flight, and tail blocks of one launch backfill with blocks of the next.
+// Launches may come from any thread, including from inside a running launch
+// or task: a nested parallel_for enqueues and drains exactly like a
+// top-level one, so idle workers help it. A submitter only ever waits for
+// chunks or tasks that another thread has already claimed and is running,
+// and a claimed job's own nested waits point strictly deeper, so nesting to
+// any depth cannot deadlock.
 #pragma once
 
 #include <atomic>
@@ -19,6 +25,7 @@
 #include <cstddef>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -44,33 +51,30 @@ class ThreadPool {
   /// `grain` indices across workers. The calling thread participates, so the
   /// call is synchronous — on return every index has been processed. If any
   /// body throws, one of the exceptions is rethrown on the caller after the
-  /// launch drains. Safe to call from multiple threads concurrently; each
-  /// call is an independent launch.
+  /// launch drains. Safe to call from multiple threads concurrently and from
+  /// inside another launch or task; each call is an independent launch.
   void parallel_for(std::size_t count, FunctionRef<void(std::size_t)> body,
                     std::size_t grain = 1);
 
   [[nodiscard]] unsigned worker_count() const { return workers_; }
 
  private:
-  /// One in-flight launch. Lives on the submitting thread's shared_ptr plus
-  /// transient copies held by draining workers; `done` is the completion
-  /// signal the submitter waits on.
-  struct Launch {
-    Launch(FunctionRef<void(std::size_t)> b, std::size_t c, std::size_t g)
-        : body(b), count(c), grain(g) {}
-    FunctionRef<void(std::size_t)> body;
-    std::size_t count;
-    std::size_t grain;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> in_flight{0};
-    std::exception_ptr error;  // guarded by the pool mutex
-    bool done = false;         // guarded by the pool mutex
-  };
+  friend class TaskGroup;
 
-  /// Claims and runs chunks of `ln` until its index space is exhausted.
-  /// Returns once no further chunk can be claimed (other workers may still
-  /// be running theirs).
-  void drain(Launch& ln);
+  /// One entry of the pool's queue. Lives on its submitter's shared_ptr plus
+  /// the queue's and draining workers' transient copies.
+  struct Job {
+    virtual ~Job() = default;
+    /// True once nothing is left to claim (claimed work may still run).
+    [[nodiscard]] virtual bool exhausted() const = 0;
+    /// Claims and runs work until nothing is left to claim.
+    virtual void drain(ThreadPool& pool) = 0;
+    bool queued = false;  ///< in queue_; guarded by the pool mutex
+  };
+  struct Launch;
+
+  /// Appends `job` to the queue (unless already queued) and wakes workers.
+  void enqueue(const std::shared_ptr<Job>& job, bool all);
   void finish_if_complete(Launch& ln);
   void worker_loop();
 
@@ -80,8 +84,42 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_start_;  // workers: queue non-empty or stop
   std::condition_variable cv_done_;   // submitters: their launch completed
-  std::deque<std::shared_ptr<Launch>> queue_;  // launches with unclaimed work
+  std::deque<std::shared_ptr<Job>> queue_;  // jobs with unclaimed work
   bool stop_ = false;
+};
+
+/// An asynchronous group of owned tasks on a pool. run() appends a task and
+/// returns; idle pool workers claim tasks in submission order. wait(n)
+/// returns once tasks [0, n) have finished: the caller first runs any of
+/// them nobody has claimed, then blocks for the claimed ones, then rethrows
+/// the lowest-index failure among them. Every task runs even after another
+/// has failed. A pool with one worker has no thread to claim tasks, so they
+/// all run inside wait(). The destructor waits for every task and swallows
+/// failures — call wait() first to observe them.
+class TaskGroup {
+ public:
+  explicit TaskGroup(ThreadPool& pool = ThreadPool::instance());
+  ~TaskGroup();
+
+  TaskGroup(const TaskGroup&) = delete;
+  TaskGroup& operator=(const TaskGroup&) = delete;
+
+  /// Appends `fn` as task size() and returns at once.
+  void run(std::function<void()> fn);
+
+  /// Waits for tasks [0, min(n, size())); rethrows their lowest-index
+  /// failure.
+  void wait(std::size_t n);
+  /// Waits for every task submitted so far.
+  void wait();
+
+  /// Tasks submitted so far.
+  [[nodiscard]] std::size_t size() const;
+
+ private:
+  struct State;
+  ThreadPool& pool_;
+  std::shared_ptr<State> st_;
 };
 
 }  // namespace szi::dev

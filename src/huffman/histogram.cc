@@ -71,10 +71,10 @@ std::vector<std::uint32_t> histogram(std::span<const quant::Code> codes,
   auto parts = ws.make<std::uint32_t>(nworkers * kInterleave * nbins);
   // Private-slot audit: `w` is the launch's loop index, NOT a thread id.
   // parts holds exactly `nworkers` slots and every w in [0, nworkers) runs
-  // exactly once, so the indexing stays valid even when the launch degrades
-  // to inline execution on a nested parallel_for (g_in_launch) — the caller
-  // then walks all w values sequentially, each with its own slot, and the
-  // serial worker-order merge gives the same totals.
+  // exactly once, so the indexing stays valid whichever thread runs which
+  // w — also for a nested launch, where the caller and helping workers
+  // claim indices in any mix — and the serial worker-order merge gives the
+  // same totals.
   dev::launch_linear(
       nworkers,
       [&](std::size_t w) {

@@ -650,8 +650,8 @@ std::size_t fused_workers(const dev::Dim3& dims) {
 /// is sorted by global index — indices are unique, so the sorted sequence
 /// is exactly the ascending order a single left-to-right scan produces.
 /// `slot` is the launch loop index, not a thread id, so each slot is
-/// written by one logical worker even when the launch runs nested inside
-/// another parallel_for and degrades to a sequential inline walk.
+/// written by one logical worker whichever threads claim the indices, also
+/// when the launch runs nested inside another parallel_for.
 template <typename T, typename RowSink>
 GInterpViewT<T> fused_tile_walk(std::span<const T> data, const dev::Dim3& dims,
                                 double eb, const InterpConfig& cfg, int radius,
@@ -1063,8 +1063,8 @@ namespace {
 /// In-place decompression over the whole volume: scatter into `out`, then
 /// every slab. Slabs are independent (the reconstructor's border snapshot
 /// severs the +z cross-slab read), so they fan out across the pool; the
-/// per-slab parity-wave launches inside run_slab degrade to inline
-/// execution when nested, keeping the two-level decomposition adaptive.
+/// per-slab parity-wave launches inside run_slab nest, so workers that run
+/// out of slabs help the slabs still running.
 /// Same validation and same arithmetic as decompress_impl — outputs are
 /// bit-identical (tests/test_decode_equiv.cc) at any worker count.
 template <typename T>

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -42,6 +45,43 @@ TEST(Cuszi, RoundTripRelMode) {
   EXPECT_TRUE(szi::metrics::error_bounded(f.data, dec, rel * range));
 }
 
+// Rel mode scales the bound by the value range of the finite values: one
+// infinity must neither blow the bound up (every finite value would decode
+// off-bound or non-finite) nor come back altered.
+TEST(Cuszi, RelBoundSpansFiniteValuesOnly) {
+  const szi::dev::Dim3 dims{32, 32, 32};
+  std::vector<float> v(dims.volume());
+  for (std::size_t z = 0; z < dims.z; ++z)
+    for (std::size_t y = 0; y < dims.y; ++y)
+      for (std::size_t x = 0; x < dims.x; ++x)
+        v[x + dims.x * (y + dims.y * z)] = static_cast<float>(
+            std::sin(0.2 * static_cast<double>(x)) *
+                std::cos(0.15 * static_cast<double>(y)) +
+            0.05 * static_cast<double>(z));
+  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+  const double range = static_cast<double>(*hi) - static_cast<double>(*lo);
+  const std::size_t pinf = 1000;
+  const std::size_t ninf = 20000;
+  v[pinf] = std::numeric_limits<float>::infinity();
+  v[ninf] = -std::numeric_limits<float>::infinity();
+
+  const double rel = 1e-3;
+  const auto bytes =
+      szi::cuszi_compress(std::span<const float>(v), dims, {ErrorMode::Rel, rel});
+  const auto out = szi::cuszi_decompress_f32(bytes);
+  ASSERT_EQ(out.size(), v.size());
+  std::size_t off_bound = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i == pinf || i == ninf) continue;
+    const double err =
+        std::abs(static_cast<double>(out[i]) - static_cast<double>(v[i]));
+    if (!(err <= rel * range * (1 + 1e-6))) ++off_bound;
+  }
+  EXPECT_EQ(off_bound, 0u) << "finite values off the 1e-3 x finite-range bound";
+  EXPECT_EQ(std::memcmp(&out[pinf], &v[pinf], sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(&out[ninf], &v[ninf], sizeof(float)), 0);
+}
+
 TEST(Cuszi, CompressesSmoothDataWell) {
   auto c = szi::make_cuszi();
   const auto f = small_field("miranda");
@@ -58,23 +98,23 @@ TEST(Cuszi, RejectsFixedRate) {
 
   // The batch front end rejects an invalid field mid-batch too: every field
   // runs, then the failure is rethrown — also when the next field shares
-  // the failing field's stream. Constant field + Rel mode: zero value
-  // range -> non-positive abs bound.
+  // the failing field's lane (at one or two workers). Constant field + Rel
+  // mode: zero value range -> non-positive abs bound.
   szi::Field constant = f;
   std::fill(constant.data.begin(), constant.data.end(), 42.f);
   const std::vector<szi::FieldView> views{{f.view(), f.dims},
                                           {constant.view(), constant.dims},
                                           {f.view(), f.dims}};
-  for (std::size_t streams : {std::size_t{1}, std::size_t{2}})
-    EXPECT_THROW((void)szi::cuszi_compress_many(
-                     views, {ErrorMode::Rel, 1e-3}, nullptr, streams),
-                 std::invalid_argument);
+  EXPECT_THROW(
+      (void)szi::cuszi_compress_many(views, {ErrorMode::Rel, 1e-3}),
+      std::invalid_argument);
 }
 
 // Every field of a batch runs, then the lowest-index failure is rethrown,
-// whichever stream ran it. The failing fields' workspaces are reset, so a
+// whichever lane ran it. The failing fields' workspaces are reset, so a
 // later batch over the same arena shards is byte-identical to per-field
-// compress.
+// compress. The lane count is min(workers, fields); the SZI_THREADS sweep
+// of the parallel-determinism instances covers the other lane counts.
 TEST(CusziBatch, RethrowsLowestIndexFailureAndKeepsPoolsClean) {
   const auto f = small_field("miranda");
   szi::Field constant = f;  // Rel mode: zero value range -> bound <= 0
@@ -84,32 +124,34 @@ TEST(CusziBatch, RethrowsLowestIndexFailureAndKeepsPoolsClean) {
   const szi::FieldView bad_bound{constant.view(), constant.dims};
   const CompressParams p{ErrorMode::Rel, 1e-3};
 
-  const auto first_error = [&](const std::vector<szi::FieldView>& views,
-                               std::size_t streams) -> std::string {
+  const auto first_error =
+      [&](const std::vector<szi::FieldView>& views) -> std::string {
     try {
-      (void)szi::cuszi_compress_many(views, p, nullptr, streams);
+      (void)szi::cuszi_compress_many(views, p);
     } catch (const std::invalid_argument& e) {
       return e.what();
     }
     return "no error";
   };
-  for (std::size_t streams : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-    EXPECT_NE(first_error({good, mismatch, bad_bound, good}, streams)
-                  .find("size/dims mismatch"),
-              std::string::npos)
-        << streams << " streams";
-    EXPECT_NE(first_error({good, bad_bound, mismatch, good}, streams)
-                  .find("non-positive error bound"),
-              std::string::npos)
-        << streams << " streams";
-  }
+  EXPECT_NE(first_error({good, mismatch, bad_bound, good})
+                .find("size/dims mismatch"),
+            std::string::npos);
+  EXPECT_NE(first_error({good, bad_bound, mismatch, good})
+                .find("non-positive error bound"),
+            std::string::npos);
+  // A lone failing field, and failures in every lane of a wide batch.
+  EXPECT_NE(first_error({bad_bound}).find("non-positive error bound"),
+            std::string::npos);
+  EXPECT_NE(first_error({good, good, good, good, good, mismatch, bad_bound})
+                .find("size/dims mismatch"),
+            std::string::npos);
 
   const auto direct = szi::cuszi_compress(f.view(), f.dims, p);
-  const std::vector<szi::FieldView> views{good, good, good};
-  for (std::size_t streams : {std::size_t{1}, std::size_t{2}}) {
-    const auto out = szi::cuszi_compress_many(views, p, nullptr, streams);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+    const std::vector<szi::FieldView> views(n, good);
+    const auto out = szi::cuszi_compress_many(views, p);
     ASSERT_EQ(out.size(), views.size());
-    for (const auto& a : out) EXPECT_EQ(a, direct) << streams << " streams";
+    for (const auto& a : out) EXPECT_EQ(a, direct) << n << " fields";
   }
 }
 

@@ -266,8 +266,8 @@ TEST(DecodeEquiv, BothLzssModes) {
   }
 }
 
-// Fields whose bulk stream spans many chunk groups, so slabs reconstruct on
-// the stream fleet while later groups still decode — SZI2 and legacy SZI1,
+// Fields whose bulk stream spans many chunk groups, so slabs reconstruct as
+// pool tasks while later groups still decode — SZI2 and legacy SZI1,
 // both precisions, against the reference composition.
 TEST(DecodeEquiv, PipelinedSlabsMatchReference) {
   const Dim3 dims{96, 80, 72};
@@ -286,8 +286,8 @@ TEST(DecodeEquiv, PipelinedSlabsMatchReference) {
       szi::cuszi_compress(std::span<const float>(v32), dims, abs);
   ASSERT_GT(inner.size(), std::size_t{4} << 18);
   expect_engine_matches_reference<float>(inner);
-  // The engine builds its reconstruction fleet only for a multi-group
-  // stream, and only when there are workers to run it.
+  // Slabs start before the last chunk group only for a multi-group stream,
+  // and they overlap the decode only when there are workers to run them.
   szi::DecodeTimings t;
   (void)szi::cuszi_decompress_f32(inner, &t);
   EXPECT_EQ(t.overlapped,

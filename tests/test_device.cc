@@ -70,14 +70,18 @@ TEST(ThreadPool, PropagatesWorkerExceptions) {
   EXPECT_EQ(n.load(), 100);
 }
 
-TEST(ThreadPool, NestedLaunchRunsInline) {
+TEST(ThreadPool, NestedLaunchesCompleteOnBothPools) {
   ThreadPool pool(2);
   std::atomic<int> n{0};
+  std::atomic<int> m{0};
   pool.parallel_for(8, [&](std::size_t) {
-    // A kernel launching a kernel must not deadlock the pool.
+    // A kernel launching a kernel — on the global pool and on its own —
+    // must not deadlock either pool, and every nested index runs once.
     ThreadPool::instance().parallel_for(10, [&](std::size_t) { n++; });
+    pool.parallel_for(10, [&](std::size_t) { m++; });
   });
   EXPECT_EQ(n.load(), 80);
+  EXPECT_EQ(m.load(), 80);
 }
 
 TEST(Scan, MatchesSerial) {
@@ -150,8 +154,8 @@ TEST(Launch, BlocksCoverGrid) {
 
 // The decoders rely on exceptions thrown inside plain (synchronous) launch
 // workers reaching the caller — e.g. huffman::decode_chunks throwing
-// core::CorruptArchive from a pool worker. The Stream tests cover the async
-// poisoning path; these cover the sync launches.
+// core::CorruptArchive from a pool worker. The TaskGroup tests cover the
+// asynchronous path; these cover the sync launches.
 TEST(Launch, LinearExceptionPropagatesToCaller) {
   EXPECT_THROW(
       launch_linear(

@@ -1,6 +1,6 @@
 // Fused-pipeline equivalence: the chunk-streamed compress/decompress paths
 // (histogram fused into the predict kernel, Huffman payload emitted into the
-// final archive slot, LZSS overlapped on a dev::Stream) must produce archives
+// final archive slot, LZSS overlapped as pool tasks) must produce archives
 // and reconstructions byte-for-byte identical to the unfused reference
 // pipeline, which keeps the pre-fusion stage structure the same way
 // predictor/reference.cc mirrors the optimized kernels.

@@ -186,8 +186,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The fused predict+histogram kernel indexes its private histogram slots by
 // launch loop index. Running it from inside an outer parallel_for makes its
-// internal launch degrade to an inline walk (g_in_launch); the codes and
-// the folded histogram must still come out identical to a top-level run.
+// internal launch a nested one, which the submitting thread drains while
+// other workers help with whatever indices they claim; the codes and the
+// folded histogram must still come out identical to a top-level run.
 TEST(GInterpFused, NestedLaunchMatchesTopLevel) {
   const Dim3 dims{96, 96, 48};
   const auto data = smooth_field(dims, 7);

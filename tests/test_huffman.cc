@@ -234,12 +234,12 @@ TEST(Huffman, ThrowsOnTruncatedStream) {
   EXPECT_THROW((void)szi::huffman::decode(enc), std::runtime_error);
 }
 
-// Worker-slot indexing under nested-launch degradation: a histogram invoked
-// from inside an outer parallel_for sees g_in_launch set, so its internal
-// launch runs every worker index inline on the calling thread. The slots
-// are indexed by loop index (not thread id), so every private histogram
-// must still land in its own slot and the totals must match the top-level
-// run exactly.
+// Worker-slot indexing under nested launches: a histogram invoked from
+// inside an outer parallel_for issues a nested launch that its caller
+// drains while other workers help, so any thread may run any worker index.
+// The slots are indexed by loop index (not thread id), so every private
+// histogram must still land in its own slot and the totals must match the
+// top-level run exactly.
 TEST(Histogram, NestedLaunchMatchesTopLevel) {
   // > kHistogramMinPerWorker elements so multiple worker slots exist.
   const auto codes = geometric_codes(3 << 16, 0.35, 1024, 21);

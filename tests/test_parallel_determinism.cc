@@ -184,11 +184,12 @@ TEST(ParallelDeterminism, ArchivesAndReconsMatchAcrossWorkerCounts) {
   }
 }
 
-/// The batched front end pipelines fields across streams with pooled
-/// workspaces, so scheduling AND buffer reuse both become candidates for
-/// nondeterminism. Every archive must still match the plain per-field call
-/// byte for byte — including on repeat batches, where the pool is warm and
-/// every workspace block carries a previous field's stale contents.
+/// The batched front end walks fields round-robin over one lane per worker
+/// with pooled workspaces, so scheduling AND buffer reuse both become
+/// candidates for nondeterminism. Every archive must still match the plain
+/// per-field call byte for byte — including on repeat batches, where the
+/// pool is warm and every workspace block carries a previous field's stale
+/// contents. Each SZI_THREADS instance runs a different lane count.
 TEST(ParallelDeterminism, BatchedCompressManyMatchesSequential) {
   std::vector<szi::Field> fields;
   for (const char* ds : {"miranda", "nyx", "s3d"})
@@ -211,16 +212,6 @@ TEST(ParallelDeterminism, BatchedCompressManyMatchesSequential) {
       EXPECT_EQ(batch[i], seq[i])
           << "field " << i << " (" << fields[i].label() << "), round "
           << round;
-  }
-
-  // Odd stream counts and the degenerate single-stream case take different
-  // round-robin paths through the same workspaces.
-  for (const std::size_t streams : {std::size_t{1}, std::size_t{3}}) {
-    const auto batch = szi::cuszi_compress_many(views, p, nullptr, streams);
-    ASSERT_EQ(batch.size(), seq.size());
-    for (std::size_t i = 0; i < seq.size(); ++i)
-      EXPECT_EQ(batch[i], seq[i]) << "field " << i << " with " << streams
-                                  << " stream(s)";
   }
 }
 

@@ -1,159 +1,254 @@
-// The stream + arena execution layer: in-order async queues, cross-stream
-// events, exception poisoning, pooled workspaces, and the multi-launch
-// thread pool underneath them.
+// The task + arena execution layer: asynchronous task groups on the pool,
+// nested launches that idle workers help, exception ordering, and pooled
+// workspaces.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "device/arena.hh"
 #include "device/launch.hh"
-#include "device/stream.hh"
 
 namespace {
 
 using szi::dev::Arena;
-using szi::dev::Event;
 using szi::dev::PooledBuffer;
-using szi::dev::Stream;
+using szi::dev::TaskGroup;
+using szi::dev::ThreadPool;
 using szi::dev::Workspace;
 
-TEST(Stream, RunsTasksInSubmissionOrder) {
-  Stream s;
+/// Distinct thread ids seen by a set of concurrent callers.
+class ThreadSet {
+ public:
+  void add() {
+    std::lock_guard lk(mu_);
+    ids_.insert(std::this_thread::get_id());
+  }
+  [[nodiscard]] std::size_t size() {
+    std::lock_guard lk(mu_);
+    return ids_.size();
+  }
+
+ private:
+  std::mutex mu_;
+  std::set<std::thread::id> ids_;
+};
+
+TEST(TaskGroup, RunsEveryTaskOnce) {
+  ThreadPool pool(4);
+  TaskGroup g(pool);
+  std::vector<std::atomic<int>> hits(200);
+  for (std::size_t i = 0; i < hits.size(); ++i) g.run([&hits, i] { hits[i]++; });
+  EXPECT_EQ(g.size(), hits.size());
+  g.wait();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(TaskGroup, OneWorkerRunsUnclaimedTasksInsideWait) {
+  ThreadPool pool(1);
+  TaskGroup g(pool);
   std::vector<int> order;
-  for (int i = 0; i < 100; ++i)
-    s.submit([i, &order] { order.push_back(i); });
-  s.synchronize();
-  std::vector<int> expect(100);
-  std::iota(expect.begin(), expect.end(), 0);
-  EXPECT_EQ(order, expect);
+  std::vector<std::thread::id> who;
+  for (int i = 0; i < 5; ++i)
+    g.run([&, i] {
+      order.push_back(i);
+      who.push_back(std::this_thread::get_id());
+    });
+  // No thread exists to claim anything: nothing has run yet.
+  EXPECT_TRUE(order.empty());
+  g.wait(2);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  g.wait();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  for (const auto& id : who) EXPECT_EQ(id, std::this_thread::get_id());
 }
 
-TEST(Stream, AsyncLaunchMatchesSyncLaunch) {
-  const std::size_t n = 10000;
-  std::vector<std::uint64_t> sync_out(n), async_out(n);
-  szi::dev::launch_linear(n, [&](std::size_t i) { sync_out[i] = i * i; });
-
-  Stream s;
-  szi::dev::launch_linear_async(
-      s, n, [&](std::size_t i) { async_out[i] = i * i; });
-  s.synchronize();
-  EXPECT_EQ(sync_out, async_out);
+TEST(TaskGroup, WaitForPrefixIgnoresLaterTasks) {
+  ThreadPool pool(2);
+  TaskGroup g(pool);
+  std::atomic<bool> release{false};
+  std::atomic<bool> first_ran{false};
+  g.run([&] { first_ran = true; });
+  g.run([&] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  // Task 1 spins until released; wait(1) must not wait for it.
+  g.wait(1);
+  EXPECT_TRUE(first_ran.load());
+  release = true;
+  g.wait();
 }
 
-TEST(Stream, AsyncBlockLaunchCoversGrid) {
-  Stream s;
-  const szi::dev::Dim3 grid{4, 3, 2};
-  std::vector<int> hits(grid.volume(), 0);
-  szi::dev::launch_blocks_async(
-      s, grid, [&](const szi::dev::BlockIdx& b) { hits[b.linear] += 1; });
-  s.synchronize();
-  for (const int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(Stream, SubmitReturnsBeforeTaskCompletes) {
-  Stream s;
+TEST(TaskGroup, RunReturnsBeforeTaskCompletes) {
+  ThreadPool pool(2);
+  TaskGroup g(pool);
   std::atomic<bool> release{false};
   std::atomic<bool> ran{false};
-  s.submit([&] {
+  g.run([&] {
     while (!release.load()) std::this_thread::yield();
     ran = true;
   });
-  // If submit were synchronous this would deadlock before the assertions.
+  // If run() were synchronous this would spin forever before the checks.
   EXPECT_FALSE(ran.load());
   release = true;
-  s.synchronize();
+  g.wait();
   EXPECT_TRUE(ran.load());
 }
 
-TEST(Event, DefaultConstructedIsComplete) {
-  Event e;
-  EXPECT_TRUE(e.query());
-  e.wait();  // must not block
+TEST(TaskGroup, IdleWorkersClaimTasks) {
+  ThreadPool pool(4);
+  TaskGroup g(pool);
+  ThreadSet threads;
+  std::atomic<int> started{0};
+  // Each task holds its thread until a second task has started elsewhere,
+  // so the group finishes only if more than one thread runs its tasks.
+  for (int i = 0; i < 4; ++i)
+    g.run([&] {
+      threads.add();
+      started++;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started.load() < 2 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    });
+  g.wait();
+  EXPECT_GT(threads.size(), 1u);
 }
 
-TEST(Event, OrdersWorkAcrossStreams) {
-  for (int round = 0; round < 20; ++round) {
-    Stream a, b;
-    std::atomic<int> value{0};
-    std::atomic<bool> release{false};
-    a.submit([&] {
-      while (!release.load()) std::this_thread::yield();
-      value = 42;
-    });
-    Event done_a = a.record();
-    b.wait(done_a);
-    int seen = -1;
-    b.submit([&] { seen = value.load(); });
-    release = true;
-    b.synchronize();
-    a.synchronize();
-    EXPECT_EQ(seen, 42);
+TEST(TaskGroup, RethrowsLowestIndexFailureAfterEveryTaskRan) {
+  for (const unsigned workers : {1u, 4u}) {
+    ThreadPool pool(workers);
+    TaskGroup g(pool);
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 40; ++i)
+      g.run([&, i] {
+        ran++;
+        if (i == 7) throw std::runtime_error("task 7");
+        if (i == 3) throw std::invalid_argument("task 3");
+        if (i == 30) throw std::logic_error("task 30");
+      });
+    try {
+      g.wait();
+      ADD_FAILURE() << "no failure rethrown at " << workers << " workers";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "task 3");
+    }
+    EXPECT_EQ(ran.load(), 40) << workers << " workers";
   }
 }
 
-TEST(Event, QueryFlipsAfterStreamReachesRecordPoint) {
-  Stream s;
-  std::atomic<bool> release{false};
-  s.submit([&] {
-    while (!release.load()) std::this_thread::yield();
+TEST(TaskGroup, PrefixWaitRethrowsOnlyFailuresInsideThePrefix) {
+  ThreadPool pool(3);
+  TaskGroup g(pool);
+  g.run([] {});
+  g.run([] {});
+  g.run([] { throw std::runtime_error("task 2"); });
+  EXPECT_NO_THROW(g.wait(2));
+  EXPECT_THROW(g.wait(3), std::runtime_error);
+  // The failure stays recorded: a later full wait reports it again.
+  EXPECT_THROW(g.wait(), std::runtime_error);
+}
+
+TEST(TaskGroup, DestructorWaitsAndSwallowsFailures) {
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  {
+    TaskGroup g(pool);
+    for (int i = 0; i < 16; ++i)
+      g.run([&, i] {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        ran++;
+        if (i == 5) throw std::runtime_error("swallowed");
+      });
+  }
+  EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(TaskGroup, NestedLaunchInsideTaskRunsOnSeveralThreads) {
+  ThreadPool pool(4);
+  TaskGroup g(pool);
+  ThreadSet threads;
+  std::atomic<int> n{0};
+  std::atomic<int> started{0};
+  // One task, one nested launch: the other three workers are idle and must
+  // help. Each index waits (bounded) for a second index to start so one
+  // thread cannot finish the launch alone.
+  g.run([&] {
+    pool.parallel_for(
+        64,
+        [&](std::size_t) {
+          threads.add();
+          started++;
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (started.load() < 2 &&
+                 std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+          n++;
+        },
+        1);
   });
-  Event e = s.record();
-  EXPECT_FALSE(e.query());
-  release = true;
-  e.wait();
-  EXPECT_TRUE(e.query());
-  s.synchronize();
+  g.wait();
+  EXPECT_EQ(n.load(), 64);
+  EXPECT_GT(threads.size(), 1u);
 }
 
-TEST(Stream, ExceptionPoisonsSkipsAndRethrows) {
-  Stream s;
-  std::atomic<bool> later_ran{false};
-  s.submit([] { throw std::runtime_error("task failed"); });
-  s.submit([&] { later_ran = true; });  // must be skipped
-  EXPECT_THROW(s.synchronize(), std::runtime_error);
-  EXPECT_FALSE(later_ran.load());
-
-  // synchronize() cleared the poison: the stream is usable again.
-  std::atomic<bool> after_ran{false};
-  s.submit([&] { after_ran = true; });
-  s.synchronize();
-  EXPECT_TRUE(after_ran.load());
+TEST(TaskGroup, ThreeDeepNestCompletes) {
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    std::atomic<int> leaves{0};
+    {
+      TaskGroup g(pool);
+      for (int t = 0; t < 6; ++t)
+        g.run([&] {
+          pool.parallel_for(
+              5,
+              [&](std::size_t) {
+                pool.parallel_for(
+                    7,
+                    [&](std::size_t) {
+                      pool.parallel_for(3, [&](std::size_t) { leaves++; }, 1);
+                    },
+                    1);
+              },
+              1);
+        });
+      g.wait();
+    }
+    EXPECT_EQ(leaves.load(), 6 * 5 * 7 * 3) << workers << " workers";
+  }
 }
 
-TEST(Stream, ExceptionInsideAsyncKernelPropagates) {
-  Stream s;
-  szi::dev::launch_linear_async(s, 1000, [](std::size_t i) {
-    if (i == 567) throw std::invalid_argument("bad block");
-  });
-  EXPECT_THROW(s.synchronize(), std::invalid_argument);
-}
-
-TEST(Stream, EventCompletesOnPoisonedStream) {
-  Stream s;
-  s.submit([] { throw std::runtime_error("poison"); });
-  Event e = s.record();
-  e.wait();  // control tasks run even after a failure — must not hang
-  EXPECT_TRUE(s.errored());
-  EXPECT_THROW(s.synchronize(), std::runtime_error);
-}
-
-TEST(Stream, ConcurrentStreamsShareThePool) {
-  // Two streams launching pool kernels at once exercises the multi-launch
-  // queue; each must see exactly its own result.
-  Stream a, b;
+TEST(TaskGroup, GroupsAndLaunchesShareThePool) {
+  // Two groups and a top-level launch running at once exercise the one
+  // job queue; each must see exactly its own result.
+  ThreadPool pool(3);
   const std::size_t n = 50000;
-  std::vector<std::uint32_t> va(n), vb(n);
-  szi::dev::launch_linear_async(a, n, [&](std::size_t i) { va[i] = 1; });
-  szi::dev::launch_linear_async(b, n, [&](std::size_t i) { vb[i] = 2; });
-  a.synchronize();
-  b.synchronize();
+  std::vector<std::uint32_t> va(n), vb(n), vc(n);
+  TaskGroup a(pool), b(pool);
+  for (std::size_t t = 0; t < 10; ++t) {
+    a.run([&, t] {
+      pool.parallel_for(n / 10, [&](std::size_t i) { va[t * n / 10 + i] = 1; },
+                        64);
+    });
+    b.run([&, t] {
+      for (std::size_t i = 0; i < n / 10; ++i) vb[t * n / 10 + i] = 2;
+    });
+  }
+  pool.parallel_for(n, [&](std::size_t i) { vc[i] = 3; }, 64);
+  a.wait();
+  b.wait();
   EXPECT_EQ(std::accumulate(va.begin(), va.end(), std::uint64_t{0}), n);
   EXPECT_EQ(std::accumulate(vb.begin(), vb.end(), std::uint64_t{0}), 2 * n);
+  EXPECT_EQ(std::accumulate(vc.begin(), vc.end(), std::uint64_t{0}), 3 * n);
 }
 
 TEST(Arena, RoundsUpAndReusesBlocks) {
