@@ -85,31 +85,23 @@ template <typename T, bool FiniteOnly = false>
 }
 }  // namespace detail
 
-template <typename T>
+/// `FiniteOnly` ranges over the finite values only ({0, 0} when there are
+/// none), so one infinity or NaN cannot blow a value range up.
+template <typename T, bool FiniteOnly = false>
 [[nodiscard]] MinMax<T> minmax(std::span<const T> data) {
   if (data.empty()) return {T{}, T{}};
   std::vector<detail::MinMaxPair<T>> partial(
       ceil_div(data.size(), std::size_t{1} << 16));
-  return detail::minmax_over<T>(data, partial);
+  return detail::minmax_over<T, FiniteOnly>(data, partial);
 }
 
 /// Workspace form: the partial-pair scratch comes from the pool.
-template <typename T>
+template <typename T, bool FiniteOnly = false>
 [[nodiscard]] MinMax<T> minmax(std::span<const T> data, Workspace& ws) {
   if (data.empty()) return {T{}, T{}};
   auto partial =
       ws.make<detail::MinMaxPair<T>>(ceil_div(data.size(), std::size_t{1} << 16));
-  return detail::minmax_over<T>(data, partial);
-}
-
-/// minmax() over the finite values only ({0, 0} when there are none), so
-/// one infinity or NaN cannot blow a value range up.
-template <typename T>
-[[nodiscard]] MinMax<T> finite_minmax(std::span<const T> data, Workspace& ws) {
-  if (data.empty()) return {T{}, T{}};
-  auto partial =
-      ws.make<detail::MinMaxPair<T>>(ceil_div(data.size(), std::size_t{1} << 16));
-  return detail::minmax_over<T, true>(data, partial);
+  return detail::minmax_over<T, FiniteOnly>(data, partial);
 }
 
 }  // namespace szi::dev

@@ -68,13 +68,13 @@ ThreadPool::~ThreadPool() {
 /// waits on.
 struct ThreadPool::Launch final : ThreadPool::Job {
   Launch(FunctionRef<void(std::size_t)> b, std::size_t c, std::size_t g)
-      : body(b), count(c), grain(g) {}
+      : Job(/*is_launch=*/true), body(b), count(c), grain(g) {}
 
   [[nodiscard]] bool exhausted() const override {
     return next.load() >= count;
   }
 
-  void drain(ThreadPool& pool) override {
+  void work(ThreadPool& pool) override {
     for (;;) {
       // in_flight brackets the claim itself, so "no more claims possible"
       // and "no chunk executing" can be checked together as the completion
@@ -124,7 +124,7 @@ void ThreadPool::parallel_for(std::size_t count,
   auto ln = std::make_shared<Launch>(body, count, grain);
   enqueue(ln, /*all=*/true);
 
-  ln->drain(*this);  // the caller works too
+  ln->work(*this);  // the caller works too
 
   std::unique_lock lk(mu_);
   cv_done_.wait(lk, [&] { return ln->done; });
@@ -156,48 +156,59 @@ void ThreadPool::finish_if_complete(Launch& ln) {
   cv_done_.notify_all();
 }
 
+std::shared_ptr<ThreadPool::Job> ThreadPool::next_job() {
+  // Jobs with nothing left to claim are finishing on other threads; taking
+  // them again would busy-spin. A dropped task group is queued again by its
+  // next run().
+  std::shared_ptr<Job> group;
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    if ((*it)->exhausted()) {
+      (*it)->queued = false;
+      it = queue_.erase(it);
+      continue;
+    }
+    if ((*it)->launch) return *it;
+    if (!group) group = *it;
+    ++it;
+  }
+  return group;
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::shared_ptr<Job> job;
     {
       std::unique_lock lk(mu_);
-      cv_start_.wait(lk, [&] {
-        // Drop jobs with nothing left to claim — their remaining work is
-        // finishing on other threads; re-draining them would busy-spin. A
-        // dropped task group is queued again by its next run().
-        while (!queue_.empty() && queue_.front()->exhausted()) {
-          queue_.front()->queued = false;
-          queue_.pop_front();
-        }
-        return stop_ || !queue_.empty();
-      });
+      cv_start_.wait(lk, [&] { return stop_ || (job = next_job()); });
       if (stop_) return;
-      job = queue_.front();
     }
-    job->drain(*this);
+    job->work(*this);
   }
 }
 
-/// A task group's shared state: the queue entry workers drain.
+/// A task group's shared state: the queue entry workers claim tasks from.
 struct TaskGroup::State final : ThreadPool::Job {
   struct Task {
     std::function<void()> fn;
     bool done = false;
   };
 
+  State() : Job(/*is_launch=*/false) {}
+
   [[nodiscard]] bool exhausted() const override {
     std::lock_guard lk(mu);
     return claimed == tasks.size();
   }
 
-  void drain(ThreadPool&) override {
-    drain_below(std::numeric_limits<std::size_t>::max());
+  void work(ThreadPool&) override {
+    run_below(std::numeric_limits<std::size_t>::max(), 1);
   }
 
-  /// Claims and runs tasks in submission order while one below `limit` is
-  /// unclaimed.
-  void drain_below(std::size_t limit) {
-    for (;;) {
+  /// Claims and runs up to `max_tasks` tasks in submission order while one
+  /// below `limit` is unclaimed.
+  void run_below(std::size_t limit,
+                 std::size_t max_tasks = std::numeric_limits<std::size_t>::max()) {
+    for (; max_tasks > 0; --max_tasks) {
       std::size_t i = 0;
       std::function<void()> fn;
       {
@@ -256,7 +267,7 @@ void TaskGroup::run(std::function<void()> fn) {
 
 void TaskGroup::wait(std::size_t n) {
   n = std::min(n, size());
-  st_->drain_below(n);
+  st_->run_below(n);
   std::unique_lock lk(st_->mu);
   st_->cv.wait(lk, [&] { return st_->finished >= n; });
   if (st_->first_error < n) std::rethrow_exception(st_->error);

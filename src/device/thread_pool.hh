@@ -3,14 +3,16 @@
 //
 // Workers are created once (lazily, on first use) and parked on a condition
 // variable between jobs, mirroring how a GPU's SMs persist across kernel
-// invocations. The pool runs one queue of jobs, drained FIFO by idle
-// workers:
+// invocations. The pool runs one queue of jobs:
 //   - a launch (parallel_for) is a half-open index range consumed through an
 //     atomic counter (dynamic scheduling), which maps naturally onto the
 //     block-index iteration the kernels in this codebase use;
 //   - a TaskGroup is a growing list of owned tasks, claimed one at a time
 //     in submission order — the analogue of a CUDA stream: a queue whose
 //     work the device's processors pick up, not a processor of its own.
+// An idle worker joins the oldest launch with unclaimed chunks and drains
+// it, since a launch's submitter is blocked on it; only when no launch has
+// work does it claim one task of the oldest group, then it looks again.
 //
 // Launches may come from any thread, including from inside a running launch
 // or task: a nested parallel_for enqueues and drains exactly like a
@@ -62,13 +64,16 @@ class ThreadPool {
   friend class TaskGroup;
 
   /// One entry of the pool's queue. Lives on its submitter's shared_ptr plus
-  /// the queue's and draining workers' transient copies.
+  /// the queue's and working threads' transient copies.
   struct Job {
+    explicit Job(bool is_launch) : launch(is_launch) {}
     virtual ~Job() = default;
     /// True once nothing is left to claim (claimed work may still run).
     [[nodiscard]] virtual bool exhausted() const = 0;
-    /// Claims and runs work until nothing is left to claim.
-    virtual void drain(ThreadPool& pool) = 0;
+    /// A pool worker's turn: a launch drains its chunks, a task group runs
+    /// one task.
+    virtual void work(ThreadPool& pool) = 0;
+    const bool launch;    ///< preferred by idle workers
     bool queued = false;  ///< in queue_; guarded by the pool mutex
   };
   struct Launch;
@@ -76,6 +81,9 @@ class ThreadPool {
   /// Appends `job` to the queue (unless already queued) and wakes workers.
   void enqueue(const std::shared_ptr<Job>& job, bool all);
   void finish_if_complete(Launch& ln);
+  /// Drops exhausted jobs and returns the oldest launch with unclaimed work,
+  /// else the oldest such task group, else null. Pool mutex held.
+  std::shared_ptr<Job> next_job();
   void worker_loop();
 
   unsigned workers_;

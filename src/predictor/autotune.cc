@@ -41,9 +41,9 @@ ProfileResult autotune_impl(std::span<const T> data, const dev::Dim3& dims,
   // Step 1: value range -> relative error bound -> α via Eq. (1). The range
   // spans the finite values: a Rel bound scales with it, and one infinity
   // would make it infinite (non-finite values are stored as outliers).
-  dev::Arena local;
-  dev::Workspace own(local);
-  const auto mm = dev::finite_minmax(data, ws ? *ws : own);
+  constexpr bool kFiniteOnly = true;
+  const auto mm = ws ? dev::minmax<T, kFiniteOnly>(data, *ws)
+                     : dev::minmax<T, kFiniteOnly>(data);
   r.value_range = static_cast<double>(mm.max) - static_cast<double>(mm.min);
   r.epsilon = r.value_range > 0 ? eb / r.value_range : 1.0;
   r.config.alpha = alpha_of_epsilon(r.epsilon);

@@ -9,9 +9,11 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/cuszi.hh"
 #include "datagen/datasets.hh"
+#include "device/thread_pool.hh"
 #include "metrics/stats.hh"
 
 namespace {
@@ -113,8 +115,9 @@ TEST(Cuszi, RejectsFixedRate) {
 // Every field of a batch runs, then the lowest-index failure is rethrown,
 // whichever lane ran it. The failing fields' workspaces are reset, so a
 // later batch over the same arena shards is byte-identical to per-field
-// compress. The lane count is min(workers, fields); the SZI_THREADS sweep
-// of the parallel-determinism instances covers the other lane counts.
+// compress. The lane count is min(workers, fields); the wide batches are
+// sized from the worker count, so lane 0 always runs a field after a
+// failed one on every host.
 TEST(CusziBatch, RethrowsLowestIndexFailureAndKeepsPoolsClean) {
   const auto f = small_field("miranda");
   szi::Field constant = f;  // Rel mode: zero value range -> bound <= 0
@@ -139,15 +142,31 @@ TEST(CusziBatch, RethrowsLowestIndexFailureAndKeepsPoolsClean) {
   EXPECT_NE(first_error({good, bad_bound, mismatch, good})
                 .find("non-positive error bound"),
             std::string::npos);
-  // A lone failing field, and failures in every lane of a wide batch.
   EXPECT_NE(first_error({bad_bound}).find("non-positive error bound"),
             std::string::npos);
-  EXPECT_NE(first_error({good, good, good, good, good, mismatch, bad_bound})
+
+  // 2 * workers + 1 fields: lane 0 runs fields 0, w and 2w on one
+  // Workspace. Its first two fail, so it resets twice and still runs the
+  // third, and a later-lane failure does not win over field 0's.
+  const std::size_t w = szi::dev::ThreadPool::instance().worker_count();
+  const std::size_t wide = 2 * w + 1;
+  const auto wide_batch = [&](const szi::FieldView& first,
+                              const szi::FieldView& second) {
+    std::vector<szi::FieldView> views(wide, good);
+    views[0] = first;
+    views[w] = second;
+    if (w > 1) views[w + 1] = mismatch;  // lane 1's second field
+    return views;
+  };
+  EXPECT_NE(first_error(wide_batch(bad_bound, mismatch))
+                .find("non-positive error bound"),
+            std::string::npos);
+  EXPECT_NE(first_error(wide_batch(mismatch, bad_bound))
                 .find("size/dims mismatch"),
             std::string::npos);
 
   const auto direct = szi::cuszi_compress(f.view(), f.dims, p);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, wide}) {
     const std::vector<szi::FieldView> views(n, good);
     const auto out = szi::cuszi_compress_many(views, p);
     ASSERT_EQ(out.size(), views.size());
